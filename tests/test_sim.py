@@ -3,8 +3,11 @@ import pytest
 
 from menf import (
     DisturbanceSpec,
+    LostPositivity,
     MissingTuning,
+    NonFinite,
     Scenario,
+    SingularGain,
     X0Law,
     make_chua_scenario,
     make_isolated_variant,
@@ -231,3 +234,80 @@ def test_isolated_variant_structure(chua_tuning):
         assert np.array_equal(
             r_full.eps[(3, 2)].sample_at(t), r_iso.eps[(3, 2)].sample_at(t)
         )
+
+
+# ---------------------------------------------------------------------------
+# Failure semantics: exception type and first-failure timestamp
+# ---------------------------------------------------------------------------
+
+def _failing_scenario(net, m_inv, x0, T=1.0):
+    return Scenario(
+        network=net,
+        T=T,
+        dt=1e-3,
+        seed=0,
+        x0_law=X0Law(kind="fixed", value=np.asarray(x0, dtype=float)),
+        m_inv_blocks=tuple(m_inv),
+    )
+
+
+def _run_failing(scenario, error):
+    with np.errstate(all="ignore"), pytest.raises(error) as info:
+        simulate(scenario)
+    return info.value
+
+
+def test_lost_positivity_timestamp():
+    # M^-1 cancels C^T R^-1 C and the plant is unstable, so dK = -K^2 - 100 K:
+    # K decays towards 0 without crossing it and fails the grid guard.
+    net = make_single_node_network(a=50.0)
+    exc = _run_failing(_failing_scenario(net, [np.eye(1)], [0.0]), LostPositivity)
+    assert exc.t == pytest.approx(0.277, abs=1e-12)
+    assert exc.min_eigenvalue == pytest.approx(9.241285658996275e-13, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a, m_inv, when",
+    [
+        (np.inf, 0.0, "0.0005"),  # inf in A: the second RK4 stage gain is not SPD
+        (-1.0, 50.0, "0.021"),  # M^-1 drives K indefinite between grid points
+    ],
+)
+def test_singular_gain_timestamp(a, m_inv, when):
+    net = make_single_node_network(a=a)
+    exc = _run_failing(_failing_scenario(net, [m_inv * np.eye(1)], [0.0]), SingularGain)
+    assert f"at t={when}:" in str(exc)
+
+
+def test_non_finite_timestamp():
+    # unstable plant: x grows by ~e^0.5 per step and overflows
+    net = make_single_node_network(a=500.0)
+    exc = _run_failing(_failing_scenario(net, [np.zeros((1, 1))], [1.0], T=2.0), NonFinite)
+    assert exc.t == pytest.approx(1.405, abs=1e-12)
+
+
+def test_state_failure_before_gain_failure():
+    # NaN x0 fails at the first grid point, long before K loses positivity
+    net = make_single_node_network(a=50.0)
+    exc = _run_failing(_failing_scenario(net, [np.eye(1)], [np.nan]), NonFinite)
+    assert exc.t == pytest.approx(1e-3, abs=1e-15)
+
+
+def test_gain_failure_before_state_failure():
+    # the gain fails at the second stage of the first step, long before the
+    # unstable state overflows
+    net = make_single_node_network(a=500.0)
+    exc = _run_failing(_failing_scenario(net, [1e6 * np.eye(1)], [1.0], T=2.0), SingularGain)
+    assert "at t=0.0005:" in str(exc)
+
+
+@pytest.mark.parametrize(
+    "m_inv_levels, when", [((0.01, 80.0), "0.013"), ((40.0, 0.01), "0.053")]
+)
+def test_singular_gain_timestamp_two_nodes(m_inv_levels, when):
+    net = make_two_node_network(n=3, seed=6)
+    scenario = _failing_scenario(
+        net, [m * np.eye(3) for m in m_inv_levels], [0.1, 0.2, 0.3], T=0.5
+    )
+    exc = _run_failing(scenario, SingularGain)
+    assert f"at t={when}:" in str(exc)
