@@ -41,7 +41,7 @@ from .scenario_io import (
     tuning_P_from_document,
     tuning_result_to_document,
 )
-from .sim import Trajectories, make_isolated_variant, simulate
+from .sim import Trajectories, make_isolated_variant, realize_disturbances, simulate
 from .tuning import laplacian_P, tune_scalar
 from .verify import check_hinf
 
@@ -86,11 +86,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    """Header line, then every row formatted by one "%.17g,..." template,
+    the same bytes as _fmt per cell; rows are written one at a time."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for r in range(rows):
-            fh.write(",".join(_fmt(col[r]) for col in columns) + "\n")
+        for row in table:
+            fh.write(line % tuple(row.tolist()))
 
 
 def _read_csv(path: Path) -> np.ndarray:
@@ -241,11 +244,29 @@ def _load_manifest(traj_dir: Path) -> dict:
     return manifest
 
 
+def _matching_samples(path: Path, cols: int, realized: np.ndarray) -> np.ndarray:
+    """Grid samples of one disturbance CSV, which must equal the samples
+    realized from the manifest's scenario and seed (the 17-digit export
+    round-trips exactly)."""
+    samples = _read_csv(path)[:, 1:1 + cols]
+    if not np.array_equal(samples, realized):
+        raise ScenarioFormatError(
+            "samples differ from the disturbances realized from the manifest's "
+            "scenario and seed",
+            str(path),
+        )
+    return samples
+
+
 def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
     net = scenario.network
     n = net.n
     state = _read_csv(traj_dir / "state.csv")
     t = state[:, 0]
+    if not np.array_equal(t, scenario.t_grid()):
+        raise ScenarioFormatError(
+            "time grid differs from the manifest's scenario", str(traj_dir / "state.csv")
+        )
     x = state[:, 1:1 + n]
     steps1 = len(t)
     xhat = np.empty((net.N, steps1, n))
@@ -257,13 +278,19 @@ def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
                 str(traj_dir),
             )
         xhat[i - 1] = est[:, 1:1 + n]
-    w = _read_csv(traj_dir / "disturbance_w.csv")[:, 1:1 + net.plant.q]
+    real = realize_disturbances(scenario)
+    w_real, v_real, eps_real = real.evaluate(t, closed=True)
+    w = _matching_samples(traj_dir / "disturbance_w.csv", net.plant.q, w_real)
     v = {
-        i: _read_csv(traj_dir / f"disturbance_v_node{i}.csv")[:, 1:1 + net.node(i).p]
+        i: _matching_samples(
+            traj_dir / f"disturbance_v_node{i}.csv", net.node(i).p, v_real[i]
+        )
         for i in net.node_ids()
     }
     eps = {
-        (i, j): _read_csv(traj_dir / f"disturbance_eps_{i}_{j}.csv")[:, 1:1 + net.link(i, j).m]
+        (i, j): _matching_samples(
+            traj_dir / f"disturbance_eps_{i}_{j}.csv", net.link(i, j).m, eps_real[(i, j)]
+        )
         for (i, j) in net.edges
     }
     return Trajectories(
@@ -274,7 +301,7 @@ def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
         w_samples=w,
         v_samples=v,
         eps_samples=eps,
-        realization=None,
+        realization=real,
         network=net,
         hypotheses={},
     )

@@ -51,8 +51,11 @@ def min_eigenvalue(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(x))[0])
 
 
-def definiteness_threshold(x: np.ndarray) -> float:
-    return DEF_TOL * (1.0 + float(np.linalg.norm(x)))
+def definiteness_threshold(x: np.ndarray):
+    """DEF_TOL * (1 + ||x||_F) for a matrix, or per matrix of a stack (..., n, n)."""
+    if x.ndim == 2:  # the plain norm is cheaper; the tuner calls this thousands of times
+        return DEF_TOL * (1.0 + float(np.linalg.norm(x)))
+    return DEF_TOL * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
 
 
 def require_spd(x: np.ndarray, name: str) -> np.ndarray:

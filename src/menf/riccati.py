@@ -7,7 +7,7 @@ The information-form gain K of a node evolves by
 with K(0) = Xcal. The integrator is fixed-step classic RK4: runs are
 bit-reproducible, the convergence-order check is meaningful, and the grid
 matches the coupled simulation. K is never inverted here; downstream code
-applies K^-1 through SPD solves.
+applies K^-1 through its Cholesky factor L (K^-1 = L^-T L^-1).
 
 The associated ARE  Z A^T + A Z - Z S Z + B B^T = 0  with
 S = C^T R^-1 C + [Delta]_ii - M^-1 (possibly indefinite) is solved for its
@@ -31,7 +31,13 @@ from .errors import (
     NotStabilizable,
     PreconditionViolated,
 )
-from .linalg import block_diag, require_spd, require_symmetric, symmetrize
+from .linalg import (
+    block_diag,
+    definiteness_threshold,
+    require_spd,
+    require_symmetric,
+    symmetrize,
+)
 from .model import GlobalMatrices, Network
 
 # Residual acceptance for ARE solutions, scaled by the solution size.
@@ -161,7 +167,7 @@ def integrate_riccati(
         if not np.all(np.isfinite(K)):
             raise NonFinite(t_next)
         min_eig = float(np.linalg.eigvalsh(K)[0])
-        if min_eig <= 1e-12 * (1.0 + float(np.linalg.norm(K))):
+        if min_eig <= definiteness_threshold(K):
             raise LostPositivity(t_next, min_eig)
         out[k + 1] = K
     return GainTrajectory(t=t_grid.copy(), K=out)
@@ -248,7 +254,7 @@ def solve_are_stabilizing(
     Zplus = symmetrize(np.linalg.solve(U1.T, V1.T).T)
 
     min_eig = float(np.linalg.eigvalsh(Zplus)[0])
-    if min_eig <= 1e-12 * (1.0 + float(np.linalg.norm(Zplus))):
+    if min_eig <= definiteness_threshold(Zplus):
         raise NoStabilizingSolution(f"Z+ not positive definite (min eig {min_eig:.3g})")
 
     residual = float(np.linalg.norm(Zplus @ A.T + A @ Zplus - Zplus @ S @ Zplus + Q))

@@ -1,14 +1,35 @@
 """Coupled plant / filter / gain simulation on a shared fixed-step RK4 grid.
 
 One engine step advances the plant state, all N estimates and all N gains
-together: measurements and neighbor signals are formed from the *stage*
-values of x and xhat_j, so the coupled system is integrated as a single
-vector field. All built-in disturbance kinds (zero, pulse, held-gaussian)
-are piecewise constant with breakpoints snapped to the grid; each is
-sampled once per step at the step midpoint, which equals its value at every
-interior stage time and keeps the scheme at full order across pulse edges.
-Grid-point samples stored for the verifier use closed pulse edges so that
-trapezoid integration of ||w||^2 reproduces amplitude^2 * duration exactly.
+with the classic RK4 scheme; measurements and neighbor signals are formed
+from the *stage* values of x and xhat_j, so the coupled system is
+integrated as a single vector field. The engine runs it in two passes over
+bounded chunks of steps, because the gains K_i(t) need no data:
+
+1. Gain pass. RK4 on the gain equations alone, keeping the four stage
+   gains of every step of the chunk. One batched Cholesky factors them all
+   (its failure is SingularGain) and gives each K^-1 = L^-T L^-1; one
+   batched eigvalsh guards positivity at the chunk's grid points.
+2. State pass. The same steps for z = [x; xhat_1; ...; xhat_N], where every
+   stage's innovations are one matvec with a constant stacked operator plus
+   a per-step disturbance term computed for the whole grid up front, and
+   K^-1 comes from the cached stage inverses.
+
+A chunk holds CHUNK_BYTES (128 KB) of stage gains: enough to amortize the
+batched calls over tens to hundreds of steps, and small because the chunk
+buffers add directly to the peak resident memory of a run, which the
+benchmark bounds at +5%. Failures keep the timestamps
+of a step-by-step integration: on a failed chunk the earliest event in
+step order wins (stage factorizations, then non-finite values, then
+positivity at the next grid point).
+
+All built-in disturbance kinds (zero, pulse, held-gaussian) are piecewise
+constant with breakpoints snapped to the grid. Each signal is evaluated
+for a whole array of times at once: at step midpoints, which equals its
+value at every interior stage time and keeps the scheme at full order
+across pulse edges, and at the grid points for the stored samples, where
+pulse edges are closed. A channel's energy is dt times the sum of its
+squared panel values, exact for every built-in kind.
 
 Everything is deterministic given the scenario seed: the initial state and
 each disturbance channel draw from independent streams spawned from the
@@ -30,7 +51,7 @@ from .errors import (
     NonFinite,
     SingularGain,
 )
-from .linalg import require_psd, symmetrize
+from .linalg import definiteness_threshold, require_psd, symmetrize
 from .model import Network, NeighborLink, NodeModel, PlantModel, build_network
 
 GRID_TOL = 1e-9
@@ -94,106 +115,73 @@ def _snap_to_grid(value: float, dt: float, what: str) -> float:
     return snapped
 
 
+def _midpoints(steps: int, dt: float) -> np.ndarray:
+    return np.arange(steps) * dt + 0.5 * dt
+
+
 class _Signal:
-    """Piecewise-constant-over-steps disturbance signal."""
+    """Disturbance signal, constant on every integration panel."""
 
-    def value_in_step(self, mid: float) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, dim: int):
+        self.dim = dim
 
-    def sample_at(self, t: float) -> np.ndarray:
+    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
+        """(len(t), dim) values at the times t.
+
+        Evaluated at step midpoints these are the panel values the
+        integrator uses. closed=True gives the grid samples stored for the
+        verifier, where a pulse carries its amplitude at both edges.
+        """
         raise NotImplementedError
 
     def energy_on(self, T: float, dt: float) -> float:
-        """Exact squared L2 norm on [0, T]: the signal is constant on every
-        integration panel, so summing panel areas is the panel-refined
-        trapezoid with no re-interpolation."""
-        steps = int(round(T / dt))
-        total = 0.0
-        for k in range(steps):
-            val = self.value_in_step((k + 0.5) * dt)
-            total += float(val @ val)
-        return total * dt
+        """Exact squared L2 norm on [0, T]: dt * sum of squared panel values,
+        since every built-in kind is constant on each panel."""
+        panels = self.values(_midpoints(int(round(T / dt)), dt))
+        return dt * float(np.einsum("ki,ki->", panels, panels))
 
 
 class _ZeroSignal(_Signal):
-    def __init__(self, dim: int):
-        self._zero = np.zeros(dim)
-
-    def value_in_step(self, mid: float) -> np.ndarray:
-        return self._zero
-
-    def sample_at(self, t: float) -> np.ndarray:
-        return self._zero
-
-    def energy_on(self, T: float, dt: float) -> float:
-        return 0.0
+    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
+        return np.zeros((len(t), self.dim))
 
 
 class _PulseSignal(_Signal):
     def __init__(self, amplitude: np.ndarray, t0: float, t1: float, dt: float):
+        super().__init__(len(amplitude))
         self.amplitude = amplitude
         self.t0 = t0
         self.t1 = t1
-        self._zero = np.zeros_like(amplitude)
         self._tol = 0.25 * dt
 
-    def value_in_step(self, mid: float) -> np.ndarray:
-        return self.amplitude if self.t0 < mid < self.t1 else self._zero
-
-    def sample_at(self, t: float) -> np.ndarray:
-        # closed edges: grid samples at both ends carry the amplitude
-        return (
-            self.amplitude
-            if (self.t0 - self._tol) <= t <= (self.t1 + self._tol)
-            else self._zero
-        )
-
-    def energy_on(self, T: float, dt: float) -> float:
-        span = max(0.0, min(self.t1, T) - max(self.t0, 0.0))
-        return float(self.amplitude @ self.amplitude) * span
+    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
+        if closed:
+            on = ((self.t0 - self._tol) <= t) & (t <= (self.t1 + self._tol))
+        else:
+            on = (self.t0 < t) & (t < self.t1)
+        return np.where(on[:, None], self.amplitude, 0.0)
 
 
 class _HeldSignal(_Signal):
     def __init__(self, values: np.ndarray, hold: float):
-        self.values = values  # (frames, dim)
+        super().__init__(values.shape[1])
+        self.frames = values  # (frames, dim)
         self.hold = hold
 
-    def _frame(self, t: float) -> np.ndarray:
-        idx = int(np.floor(t / self.hold + 1e-12))
-        return self.values[min(max(idx, 0), len(self.values) - 1)]
-
-    def value_in_step(self, mid: float) -> np.ndarray:
-        return self._frame(mid)
-
-    def sample_at(self, t: float) -> np.ndarray:
-        return self._frame(t)
-
-    def energy_on(self, T: float, dt: float) -> float:
-        sq = np.einsum("fi,fi->f", self.values, self.values)
-        total = 0.0
-        for f, energy in enumerate(sq):
-            span = max(0.0, min((f + 1) * self.hold, T) - f * self.hold)
-            if span <= 0.0:
-                break
-            total += float(energy) * span
-        return total
+    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
+        idx = np.floor(t / self.hold + 1e-12).astype(np.intp)
+        return self.frames[np.clip(idx, 0, len(self.frames) - 1)]
 
 
 class _SumSignal(_Signal):
     def __init__(self, parts: list[_Signal], dim: int):
+        super().__init__(dim)
         self.parts = parts
-        self._zero = np.zeros(dim)
 
-    def value_in_step(self, mid: float) -> np.ndarray:
-        out = self._zero
+    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
+        out = np.zeros((len(t), self.dim))
         for p in self.parts:
-            out = out + p.value_in_step(mid)
-        return out
-
-    def sample_at(self, t: float) -> np.ndarray:
-        out = self._zero
-        for p in self.parts:
-            out = out + p.sample_at(t)
+            out = out + p.values(t, closed)
         return out
 
 
@@ -284,10 +272,12 @@ class RealizedDisturbances:
     v: dict[int, _Signal]
     eps: dict[tuple[int, int], _Signal]
 
-    def step_values(self, mid: float):
-        w = self.w.value_in_step(mid)
-        v = {i: sig.value_in_step(mid) for i, sig in self.v.items()}
-        eps = {e: sig.value_in_step(mid) for e, sig in self.eps.items()}
+    def evaluate(self, t: np.ndarray, closed: bool = False):
+        """Every channel at the times t: (w, {i: v_i}, {(i, j): eps_ij}),
+        each an array of shape (len(t), dim)."""
+        w = self.w.values(t, closed)
+        v = {i: sig.values(t, closed) for i, sig in self.v.items()}
+        eps = {e: sig.values(t, closed) for e, sig in self.eps.items()}
         return w, v, eps
 
 
@@ -423,8 +413,19 @@ class ErrorTrajectories:
 # Engine
 # ---------------------------------------------------------------------------
 
+# Byte budget of the stage gains held for one chunk of the gain pass (four
+# RK4 stage gains per step and node). Small on purpose: the chunk's buffers
+# (stage gains, Cholesky factors, inverses) add directly to a run's peak
+# resident memory, while larger chunks save little more Python overhead.
+CHUNK_BYTES = 128 * 1024
+
+# RK4 stage times as fractions of a step.
+_STAGE_OFFSETS = (0.0, 0.5, 0.5, 1.0)
+
+
 class _EngineData:
-    """Per-run constant data laid out for the batched stage evaluations."""
+    """Per-run constant data: the gain equation's coefficients and the
+    per-node error-dynamics terms of the cross-check oracle."""
 
     def __init__(self, net: Network, m_inv_blocks):
         self.net = net
@@ -444,19 +445,6 @@ class _EngineData:
     def gain_rhs(self, K: np.ndarray) -> np.ndarray:
         KQ = K @ self.Q
         return -KQ @ K + self.S_const - self.A.T @ K - K @ self.A
-
-    def innovations(self, x, xhat, v, eps) -> np.ndarray:
-        """(N, n) information-weighted innovations at one stage."""
-        out = np.empty_like(xhat)
-        for idx, node in enumerate(self.nodes):
-            y = node.C @ x + node.D @ v[idx + 1]
-            innov = node.CtRinv @ (y - node.C @ xhat[idx])
-            for j in self.neighbors[idx]:
-                link = node.links[j]
-                c = link.W @ xhat[j - 1] + link.F @ eps[(idx + 1, j)]
-                innov = innov + link.WtUinv @ (c - link.W @ xhat[idx])
-            out[idx] = innov
-        return out
 
     def error_inner(self, e, v, eps) -> np.ndarray:
         """(N, n) bracketed term of the error dynamics at one stage."""
@@ -483,15 +471,122 @@ def _spd_solve_batched(K: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
     return np.linalg.solve(np.transpose(L, (0, 2, 1)), y)[:, :, 0]
 
 
+def _min_eigenvalues(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of every gain in a stack (..., n, n), and whether
+    it clears the positive-definiteness threshold."""
+    min_eigs = np.linalg.eigvalsh(K)[..., 0]
+    return min_eigs, min_eigs > definiteness_threshold(K)
+
+
 def _check_gains(K: np.ndarray, t: float) -> float:
     """Positive-definiteness guard at an accepted grid point; returns min eig."""
-    eigs = np.linalg.eigvalsh(K)
-    min_eig = float(eigs[:, 0].min())
-    norms = np.linalg.norm(K, axis=(1, 2))
-    thresholds = 1e-12 * (1.0 + norms)
-    if np.any(eigs[:, 0] <= thresholds):
-        raise LostPositivity(t, min_eig)
-    return min_eig
+    min_eigs, ok = _min_eigenvalues(K)
+    if not ok.all():
+        raise LostPositivity(t, float(min_eigs.min()))
+    return float(min_eigs.min())
+
+
+def _stacked_operator(net: Network) -> np.ndarray:
+    """Constant ((n + 2Nn) x (n + Nn)) operator on z = [x; xhat_1; ...; xhat_N].
+
+    Its rows give A x, then A xhat_i for every node, then the innovations
+    H z without their disturbance term: block row i of H holds C_i^T R_i^-1 C_i
+    on x, -(C_i^T R_i^-1 C_i + sum_j W_ij^T U_ij^-1 W_ij) on xhat_i and
+    W_ij^T U_ij^-1 W_ij on xhat_j for each edge (i, j), where j sends to i.
+    """
+    n, N = net.n, net.N
+    m = n + N * n
+    M = np.zeros((m + N * n, m))
+    M[:m, :m] = np.kron(np.eye(N + 1), net.plant.A)
+    for i in net.node_ids():
+        node = net.node(i)
+        rows = slice(m + n * (i - 1), m + n * i)
+        M[rows, :n] = node.CtRinvC
+        M[rows, n * i:n * (i + 1)] = -(node.CtRinvC + net.delta_block(i))
+        for j in net.neighbors[i]:
+            M[rows, n * j:n * (j + 1)] = net.link(i, j).WtUinvW
+    return M
+
+
+def _disturbance_term(
+    net: Network, real: RealizedDisturbances, steps: int, dt: float
+) -> np.ndarray:
+    """(steps, n + Nn) per-step inputs [B w_k; g_k] on the panel values, with
+    g_k,i = C_i^T R_i^-1 D_i v_i + sum_j W_ij^T U_ij^-1 F_ij eps_ij.
+
+    One channel is evaluated at a time, so no more than one channel's
+    panel values are held at once.
+    """
+    n = net.n
+    mids = _midpoints(steps, dt)
+    d = np.zeros((steps, n + net.N * n))
+    d[:, :n] = real.w.values(mids) @ net.plant.B.T
+    for i in net.node_ids():
+        node = net.node(i)
+        d[:, n * i:n * (i + 1)] += real.v[i].values(mids) @ (node.CtRinv @ node.D).T
+    for (i, j) in net.edges:
+        link = net.link(i, j)
+        d[:, n * i:n * (i + 1)] += real.eps[(i, j)].values(mids) @ (link.WtUinv @ link.F).T
+    return d
+
+
+def _gain_pass(data: _EngineData, Ks: np.ndarray, k0: int, k1: int, dt: float):
+    """RK4 gain steps k0..k1-1 from the gain Ks[:, k0], without data.
+
+    Writes each accepted grid gain to Ks[:, k + 1] and returns the stage
+    gains, shape (steps, 4, N, n, n), with the step at which the gain first
+    became non-finite (None when every step stayed finite). The pass stops
+    after that step.
+    """
+    h2, h6 = 0.5 * dt, dt / 6.0
+    K = Ks[:, k0]
+    stages = np.empty((k1 - k0, 4) + K.shape)
+    for k in range(k0, k1):
+        st = stages[k - k0]
+        st[0] = K
+        dK1 = data.gain_rhs(K)
+        st[1] = K + h2 * dK1
+        dK2 = data.gain_rhs(st[1])
+        st[2] = K + h2 * dK2
+        dK3 = data.gain_rhs(st[2])
+        st[3] = K + dt * dK3
+        dK4 = data.gain_rhs(st[3])
+        K = K + h6 * (dK1 + 2.0 * dK2 + 2.0 * dK3 + dK4)
+        K = 0.5 * (K + np.transpose(K, (0, 2, 1)))
+        Ks[:, k + 1] = K
+        if not np.isfinite(K).all():
+            return stages[:k - k0 + 1], k
+    return stages, None
+
+
+def _inverses(stages: np.ndarray) -> np.ndarray:
+    """K^-1 = L^-T L^-1 for a stack of gains, from one batched Cholesky."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(stages))
+    return np.matmul(np.swapaxes(L_inv, -1, -2), L_inv)
+
+
+def _stage_inverses(stages: np.ndarray, k0: int, dt: float):
+    """Inverses of every stage gain of a chunk, flattened to (4 * steps, N, n, n)
+    in step order.
+
+    When a stage gain is not positive definite, returns the inverses of the
+    stages before the first such stage together with its SingularGain.
+    """
+    flat = stages.reshape((-1,) + stages.shape[2:])
+    try:
+        return _inverses(flat), None
+    except np.linalg.LinAlgError:
+        pass
+    for f, K in enumerate(flat):
+        try:
+            np.linalg.cholesky(K)
+        except np.linalg.LinAlgError as exc:
+            k, stage = divmod(f, 4)
+            t = (k0 + k) * dt + _STAGE_OFFSETS[stage] * dt
+            error = SingularGain(f"at t={t:.6g}: {exc}")
+            error.__cause__ = exc
+            return _inverses(flat[:f]), (k, stage, error)
+    raise AssertionError("batched Cholesky failed on gains that factor one by one")
 
 
 def simulate(scenario: Scenario) -> Trajectories:
@@ -499,82 +594,87 @@ def simulate(scenario: Scenario) -> Trajectories:
 
     Deterministic given the scenario seed. Raises MissingTuning when no
     M^-1 blocks are fixed, and propagates LostPositivity / SingularGain /
-    NonFinite with the failing timestamp.
+    NonFinite with the failing timestamp: the earliest failure in step
+    order, exactly as a step-by-step integration would meet it.
     """
     net = scenario.network
     m_inv = scenario.require_m_inv()
     data = _EngineData(net, m_inv)
     real = realize_disturbances(scenario)
     n, N = net.n, net.N
+    m = n + N * n
     dt = scenario.dt
     steps = scenario.steps
     t_grid = scenario.t_grid()
 
-    x = real.x0.copy()
-    xhat = np.stack([node.xi for node in net.nodes]).astype(float)
-    K = np.stack([np.asarray(b, dtype=float) for b in scenario.gain_initial_blocks()])
-    for i, K0 in enumerate(K, start=1):
-        require_psd(K0, f"K0_{i}")
-
-    xs = np.empty((steps + 1, n))
-    xhs = np.empty((N, steps + 1, n))
+    K0 = np.stack([np.asarray(b, dtype=float) for b in scenario.gain_initial_blocks()])
+    for i, K0_i in enumerate(K0, start=1):
+        require_psd(K0_i, f"K0_{i}")
     Ks = np.empty((N, steps + 1, n, n))
-    xs[0] = x
-    xhs[:, 0] = xhat
-    Ks[:, 0] = K
-    min_gain_eig = _check_gains(K, 0.0)
+    Ks[:, 0] = K0
+    min_gain_eig = _check_gains(K0, 0.0)
 
-    A, B = data.A, data.B
+    M = _stacked_operator(net)
+    d = _disturbance_term(net, real, steps, dt)
+    zs = np.empty((steps + 1, m))
+    zs[0, :n] = real.x0
+    zs[0, n:] = np.concatenate([node.xi for node in net.nodes])
+    z = zs[0].copy()
 
-    for k in range(steps):
-        t = k * dt
-        w, v, eps = real.step_values(t + 0.5 * dt)
-        Bw = B @ w
+    def rhs(zc, K_inv, dk):
+        y = M @ zc
+        dz = y[:m]
+        dz[:n] += dk[:n]
+        innov = (y[m:] + dk[n:]).reshape(N, n, 1)
+        dz[n:] += np.matmul(K_inv, innov).reshape(N * n)
+        return dz
 
-        def rhs(xc, xhc, Kc, stage_t):
-            dx = A @ xc + Bw
-            innov = data.innovations(xc, xhc, v, eps)
-            corr = _spd_solve_batched(Kc, innov, stage_t)
-            dxh = xhc @ A.T + corr
-            dK = data.gain_rhs(Kc)
-            return dx, dxh, dK
+    h2, h6 = 0.5 * dt, dt / 6.0
+    chunk = max(1, CHUNK_BYTES // (4 * N * n * n * 8))
+    for k0 in range(0, steps, chunk):
+        # Pass 1: gains of the chunk, their stage inverses and grid guard.
+        # A failure is kept as (step offset, order within the step, error);
+        # within a step, stage factorizations come first, then the
+        # non-finite check at the next grid point, then positivity there.
+        stages, k_bad = _gain_pass(data, Ks, k0, min(k0 + chunk, steps), dt)
+        K_inv, failure = _stage_inverses(stages, k0, dt)
+        finite = len(stages) if k_bad is None else k_bad - k0
+        min_eigs, ok = _min_eigenvalues(Ks[:, k0 + 1:k0 + 1 + finite])
+        if finite:
+            min_gain_eig = min(min_gain_eig, float(min_eigs.min()))
+        events = [] if failure is None else [failure]
+        if k_bad is not None:
+            events.append((k_bad - k0, 4, NonFinite(float(t_grid[k_bad + 1]))))
+        lost = np.flatnonzero(~ok.all(axis=0))
+        if lost.size:
+            c = int(lost[0])
+            events.append(
+                (c, 5, LostPositivity(float(t_grid[k0 + c + 1]), float(min_eigs[:, c].min())))
+            )
+        first = min(events, key=lambda ev: ev[:2]) if events else None
+        end = len(stages) if first is None else first[0] + (first[1] >= 4)
 
-        dx1, dxh1, dK1 = rhs(x, xhat, K, t)
-        dx2, dxh2, dK2 = rhs(
-            x + 0.5 * dt * dx1, xhat + 0.5 * dt * dxh1, K + 0.5 * dt * dK1, t + 0.5 * dt
-        )
-        dx3, dxh3, dK3 = rhs(
-            x + 0.5 * dt * dx2, xhat + 0.5 * dt * dxh2, K + 0.5 * dt * dK2, t + 0.5 * dt
-        )
-        dx4, dxh4, dK4 = rhs(x + dt * dx3, xhat + dt * dxh3, K + dt * dK3, t + dt)
+        # Pass 2: plant and estimates through the same steps.
+        for c in range(end):
+            k = k0 + c
+            dk = d[k]
+            s = 4 * c
+            dz1 = rhs(z, K_inv[s], dk)
+            dz2 = rhs(z + h2 * dz1, K_inv[s + 1], dk)
+            dz3 = rhs(z + h2 * dz2, K_inv[s + 2], dk)
+            dz4 = rhs(z + dt * dz3, K_inv[s + 3], dk)
+            z = z + h6 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
+            zs[k + 1] = z
+            if not np.isfinite(z).all():
+                raise NonFinite(float(t_grid[k + 1]))
+        if first is not None:
+            raise first[2]
 
-        x = x + (dt / 6.0) * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-        xhat = xhat + (dt / 6.0) * (dxh1 + 2.0 * dxh2 + 2.0 * dxh3 + dxh4)
-        K = K + (dt / 6.0) * (dK1 + 2.0 * dK2 + 2.0 * dK3 + dK4)
-        K = 0.5 * (K + np.transpose(K, (0, 2, 1)))
-
-        t_next = float(t_grid[k + 1])
-        if not (
-            np.all(np.isfinite(x)) and np.all(np.isfinite(xhat)) and np.all(np.isfinite(K))
-        ):
-            raise NonFinite(t_next)
-        min_gain_eig = min(min_gain_eig, _check_gains(K, t_next))
-
-        xs[k + 1] = x
-        xhs[:, k + 1] = xhat
-        Ks[:, k + 1] = K
-
-    w_samples = np.stack([real.w.sample_at(tk) for tk in t_grid])
-    v_samples = {
-        i: np.stack([real.v[i].sample_at(tk) for tk in t_grid]) for i in net.node_ids()
-    }
-    eps_samples = {
-        e: np.stack([real.eps[e].sample_at(tk) for tk in t_grid]) for e in net.edges
-    }
+    w_samples, v_samples, eps_samples = real.evaluate(t_grid, closed=True)
     return Trajectories(
         t=t_grid,
-        x=xs,
-        xhat=xhs,
+        x=zs[:, :n],
+        xhat=np.transpose(zs[:, n:].reshape(steps + 1, N, n), (1, 0, 2)),
         K=Ks,
         w_samples=w_samples,
         v_samples=v_samples,
@@ -614,11 +714,13 @@ def simulate_error_oracle(
     es = np.empty((net.N, steps + 1, net.n))
     es[:, 0] = e
     A, B = data.A, data.B
+    w_panels, v_panels, eps_panels = realization.evaluate(_midpoints(steps, dt))
 
     for k in range(steps):
         t = k * dt
-        w, v, eps = realization.step_values(t + 0.5 * dt)
-        Bw = B @ w
+        v = {i: vals[k] for i, vals in v_panels.items()}
+        eps = {edge: vals[k] for edge, vals in eps_panels.items()}
+        Bw = B @ w_panels[k]
 
         def rhs(ec, Kc, stage_t):
             inner = data.error_inner(ec, v, eps)

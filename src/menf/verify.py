@@ -6,11 +6,13 @@ the total disturbance budget
     sum_i ||x0 - xi_i||^2_{Xcal_i} + N ||w||_2^2
         + sum_i (||v_i||_2^2 + sum_{j in N_i} ||eps_ij||_2^2).
 
-All integrals are composite trapezoids on the simulation grid, reported as
-finite-horizon partial integrals: the left side's integrand is nonnegative
-for P >= 0, so slack >= 0 on [0, T] is a valid necessary check of the
-infinite-horizon bound, and for finite-support disturbances the right side
-is fully realized on [0, T].
+The left side is a composite trapezoid on the simulation grid; each
+disturbance norm is dt times the sum of the channel's squared panel values,
+which is exact because every built-in kind is constant on each integration
+panel. Both are finite-horizon partial integrals: the left side's integrand
+is nonnegative for P >= 0, so slack >= 0 on [0, T] is a valid necessary
+check of the infinite-horizon bound, and for finite-support disturbances
+the right side is fully realized on [0, T].
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, HypothesisNotVerified
+from .errors import DimensionMismatch, HypothesisNotVerified, PreconditionViolated
 from .linalg import require_psd, trapezoid
 from .model import Network
-from .sim import Scenario, Trajectories, _PulseSignal
+from .sim import Scenario, Trajectories
 
 
 @dataclass
@@ -77,37 +79,11 @@ def lhs_cost(traj: Trajectories, P: np.ndarray) -> float:
     return trapezoid(quad, traj.dt)
 
 
-def _l2_norm_sq(samples: np.ndarray, dt: float) -> float:
-    return trapezoid(np.einsum("ti,ti->t", samples, samples), dt)
-
-
-def _channel_energy(signal, samples: np.ndarray, T: float, dt: float, name: str) -> float:
-    """Squared L2 norm of one channel on [0, T].
-
-    With the realized signal at hand this integrates exactly (the built-in
-    kinds are constant on every panel) and cross-checks single pulses
-    against amplitude^2 * duration; from grid samples alone (CSV reload) it
-    falls back to the plain trapezoid, which carries an O(dt) edge error at
-    each jump.
-    """
-    if signal is None:
-        return _l2_norm_sq(samples, dt)
-    energy = signal.energy_on(T, dt)
-    if isinstance(signal, _PulseSignal):
-        closed = float(
-            np.dot(signal.amplitude, signal.amplitude)
-            * (min(signal.t1, T) - max(signal.t0, 0.0))
-        )
-        if abs(energy - closed) > 1e-6 * max(closed, 1.0):
-            raise ArithmeticError(
-                f"{name}: integrated pulse energy {energy:.12g} deviates from "
-                f"the closed form {closed:.12g}"
-            )
-    return energy
-
-
 def rhs_budget(scenario: Scenario, traj: Trajectories) -> BudgetBreakdown:
     """Disturbance budget from the realized run, term by term."""
+    real = traj.realization
+    if real is None:
+        raise PreconditionViolated("the budget needs the run's realized disturbances")
     net = scenario.network
     dt = traj.dt
     T = float(traj.t[-1])
@@ -116,21 +92,13 @@ def rhs_budget(scenario: Scenario, traj: Trajectories) -> BudgetBreakdown:
     for node in net.nodes:
         d = x0 - node.xi
         init += float(d @ node.Xcal @ d)
-
-    real = traj.realization
-    model = net.N * _channel_energy(
-        real.w if real else None, traj.w_samples, T, dt, "w"
-    )
+    model = net.N * real.w.energy_on(T, dt)
     measurement = 0.0
     for i in net.node_ids():
-        measurement += _channel_energy(
-            real.v[i] if real else None, traj.v_samples[i], T, dt, f"v_{i}"
-        )
+        measurement += real.v[i].energy_on(T, dt)
     communication = 0.0
     for e in net.edges:
-        communication += _channel_energy(
-            real.eps[e] if real else None, traj.eps_samples[e], T, dt, f"eps_{e}"
-        )
+        communication += real.eps[e].energy_on(T, dt)
     return BudgetBreakdown(
         init=init, model=model, measurement=measurement, communication=communication
     )

@@ -1,8 +1,17 @@
 import numpy as np
 import yaml
 
-from menf.cli import main
-from menf.scenario_io import bundled_chua_text, dump_document, parse_document
+from menf import check_hinf, simulate
+from menf.cli import _fmt, _write_csv, main
+from menf.scenario_io import (
+    bundled_chua_text,
+    document_to_scenario,
+    dump_document,
+    load_document,
+    load_tuned_m,
+    parse_document,
+    tuning_P_from_document,
+)
 
 SMALL = """
 plant: {A: [[-1.0, 0.3], [0.0, -2.0]], B: [[0.5, 0.0], [0.0, 0.5]]}
@@ -26,10 +35,35 @@ tuning: {P0: [[1.0, 0.0], [0.0, 1.0]], ridge: 0.01}
 """
 
 
-def write_small(tmp_path):
+# SMALL with held noise on every channel, summed with pulses on w, v_1 and
+# eps_12.
+HELD_AND_PULSE = SMALL.replace(
+    "  - {kind: pulse, target: w, amplitude: 1.0, start: 0.0, duration: 0.5}\n",
+    """  - {kind: pulse, target: w, amplitude: 1.0, start: 0.0, duration: 0.5}
+  - {kind: held_gaussian, target: w, std: 0.5, hold: 0.05}
+  - {kind: held_gaussian, target: v, node: 1, std: 0.3, hold: 0.1}
+  - {kind: pulse, target: v, node: 1, amplitude: 0.8, start: 0.3, duration: 0.4}
+  - {kind: held_gaussian, target: v, node: 2, std: 0.3, hold: 0.1}
+  - {kind: pulse, target: eps, edge: [1, 2], amplitude: 1.0, start: 0.1, duration: 0.4}
+  - {kind: held_gaussian, target: eps, edge: [1, 2], std: 0.2, hold: 0.1}
+  - {kind: held_gaussian, target: eps, edge: [2, 1], std: 0.2, hold: 0.1}
+""",
+)
+
+
+def write_small(tmp_path, text=SMALL):
     path = tmp_path / "small.scenario"
-    path.write_text(SMALL, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path
+
+
+def tune_and_simulate(tmp_path, text=SMALL):
+    scen = write_small(tmp_path, text)
+    tuned = tmp_path / "tuned.yaml"
+    assert main(["tune", str(scen), "--out", str(tuned)]) == 0
+    out = tmp_path / "run"
+    assert main(["simulate", str(scen), "--out", str(out), "--tuned", str(tuned)]) == 0
+    return scen, tuned, out
 
 
 def test_tune_simulate_verify_roundtrip(tmp_path, capsys):
@@ -173,3 +207,45 @@ def test_output_dir_not_writable(tmp_path):
         "simulate", str(scen), "--out", str(blocked), "--tuned", str(tuned)
     ])
     assert code == 1
+
+
+def test_csv_writer_bytes_match_per_cell_format(tmp_path):
+    columns = [
+        np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+        np.array([0.1, 1.0 / 3.0, -2.5, 123456789.123456789, 1e-300, 7.0]),
+    ]
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["a", "b"], columns)
+    rows = [",".join(_fmt(col[r]) for col in columns) for r in range(6)]
+    assert path.read_bytes() == ("a,b\n" + "".join(r + "\n" for r in rows)).encode()
+
+
+def test_verify_from_disk_equals_in_memory_report(tmp_path):
+    scen, tuned, out = tune_and_simulate(tmp_path, HELD_AND_PULSE)
+    assert main(["verify", str(out)]) == 0
+    disk = yaml.safe_load((out / "hinf_report.json").read_text())
+
+    doc = load_document(str(scen))
+    m_inv, margin = load_tuned_m(tuned)
+    scenario = document_to_scenario(doc, m_inv_blocks=m_inv, minv_margin=margin)
+    P = tuning_P_from_document(doc, scenario.network)
+    memory = check_hinf(scenario, simulate(scenario), P)
+    pairs = [
+        (disk["lhs"], memory.lhs),
+        (disk["rhs"], memory.rhs),
+        (disk["slack"], memory.slack),
+    ] + [(disk["budget"][k], getattr(memory.breakdown, k)) for k in disk["budget"]]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300)
+
+
+def test_verify_rejects_samples_not_matching_the_manifest(tmp_path, capsys):
+    _, _, out = tune_and_simulate(tmp_path)
+    path = out / "disturbance_w.csv"
+    lines = path.read_text().splitlines()
+    cols = lines[10].split(",")
+    cols[1] = format(float(cols[1]) + 1e-9, ".17g")
+    lines[10] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", str(out)]) == 1
+    assert "disturbance_w.csv" in capsys.readouterr().err

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menf import (
     DisturbanceSpec,
     LostPositivity,
     MissingTuning,
+    NeighborLink,
+    NodeModel,
     NonFinite,
+    PlantModel,
     Scenario,
     SingularGain,
     X0Law,
+    build_network,
     make_chua_scenario,
     make_isolated_variant,
     realize_disturbances,
@@ -80,8 +86,8 @@ def test_chua_scenario_contract(chua_tuning):
     r1 = realize_disturbances(scenario)
     r2 = realize_disturbances(make_chua_scenario(1, tuning=chua_tuning))
     assert np.array_equal(r1.x0, r2.x0)
-    for t in np.linspace(0, 10, 23):
-        assert np.array_equal(r1.w.sample_at(t), r2.w.sample_at(t))
+    t = np.linspace(0, 10, 23)
+    assert np.array_equal(r1.w.values(t, closed=True), r2.w.values(t, closed=True))
 
 
 def test_distinct_seeds_differ(chua_tuning):
@@ -145,8 +151,9 @@ def test_held_gaussian_is_square_integrable_and_held():
     scenario = small_scenario(net, disturbances=(spec,))
     real = realize_disturbances(scenario)
     # constant within a hold window
-    assert np.array_equal(real.w.sample_at(0.01), real.w.sample_at(0.09))
-    assert not np.array_equal(real.w.sample_at(0.01), real.w.sample_at(0.11))
+    a, b, c = real.w.values(np.array([0.01, 0.09, 0.11]))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     assert np.isfinite(real.w.energy_on(scenario.T, scenario.dt))
 
 
@@ -229,11 +236,11 @@ def test_isolated_variant_structure(chua_tuning):
     r_full = realize_disturbances(scenario)
     r_iso = realize_disturbances(iso)
     assert np.array_equal(r_full.x0, r_iso.x0)
-    for t in np.linspace(0, 10, 11):
-        assert np.array_equal(r_full.w.sample_at(t), r_iso.w.sample_at(t))
-        assert np.array_equal(
-            r_full.eps[(3, 2)].sample_at(t), r_iso.eps[(3, 2)].sample_at(t)
-        )
+    t = np.linspace(0, 10, 11)
+    assert np.array_equal(r_full.w.values(t, closed=True), r_iso.w.values(t, closed=True))
+    assert np.array_equal(
+        r_full.eps[(3, 2)].values(t, closed=True), r_iso.eps[(3, 2)].values(t, closed=True)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +318,93 @@ def test_singular_gain_timestamp_two_nodes(m_inv_levels, when):
     )
     exc = _run_failing(scenario, SingularGain)
     assert f"at t={when}:" in str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Stacked innovation operator against the per-node error dynamics
+# ---------------------------------------------------------------------------
+
+def _random_network(rng, N, n):
+    """Random plant and nodes with random directed edges; links have
+    non-square, non-identity W and non-identity F."""
+    q = int(rng.integers(1, n + 1))
+    plant = PlantModel(
+        A=0.5 * rng.standard_normal((n, n)) - np.eye(n),
+        B=0.3 * rng.standard_normal((n, q)),
+    )
+    edges = [
+        (i, j)
+        for i in range(1, N + 1)
+        for j in range(1, N + 1)
+        if i != j and rng.random() < 0.6
+    ]
+    nodes = []
+    for i in range(1, N + 1):
+        links = {}
+        for (a, j) in edges:
+            if a != i:
+                continue
+            m = int(rng.integers(1, 4))
+            G = rng.standard_normal((n, n))
+            links[j] = NeighborLink(
+                W=rng.standard_normal((m, n)),
+                F=np.diag(rng.uniform(0.4, 0.8, m)) + 0.1 * rng.standard_normal((m, m)),
+                Z=0.2 * (G @ G.T) + 0.1 * np.eye(n),
+            )
+        p = int(rng.integers(1, 3))
+        X = rng.standard_normal((n, n))
+        nodes.append(
+            NodeModel(
+                C=rng.standard_normal((p, n)),
+                D=np.diag(rng.uniform(0.5, 1.0, p)) + 0.1 * rng.standard_normal((p, p)),
+                xi=rng.standard_normal(n),
+                Xcal=0.1 * (X @ X.T) + np.eye(n),
+                links=links,
+            )
+        )
+    return build_network(plant, nodes, edges)
+
+
+def _random_channels(rng, net, dt):
+    """On every channel: nothing, a pulse, held noise, or both summed."""
+    where = [{"target": "w"}]
+    where += [{"target": "v", "node": i} for i in net.node_ids()]
+    where += [{"target": "eps", "edge": e} for e in net.edges]
+    specs = []
+    for loc in where:
+        choice = int(rng.integers(0, 4))
+        if choice & 1:
+            start, length = rng.integers(0, 30), rng.integers(1, 30)
+            specs.append(
+                DisturbanceSpec(
+                    kind="pulse", amplitude=float(rng.uniform(-2, 2)),
+                    start=start * dt, duration=length * dt, **loc,
+                )
+            )
+        if choice & 2:
+            specs.append(
+                DisturbanceSpec(
+                    kind="held_gaussian", std=float(rng.uniform(0.1, 1.0)),
+                    hold=int(rng.integers(3, 20)) * dt, **loc,
+                )
+            )
+    return tuple(specs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_stacked_operator_matches_error_oracle(N, n, seed):
+    rng = np.random.default_rng(seed)
+    net = _random_network(rng, N, n)
+    scenario = Scenario(
+        network=net,
+        T=0.05,
+        dt=1e-3,
+        seed=seed,
+        x0_law=X0Law(kind="gaussian", mean=0.0, std=1.0),
+        disturbances=_random_channels(rng, net, 1e-3),
+        m_inv_blocks=tuple(0.01 * np.eye(n) for _ in range(N)),
+    )
+    traj = simulate(scenario)
+    oracle = simulate_error_oracle(scenario, traj.realization)
+    assert float(np.max(np.abs(traj.e - oracle.e))) <= 1e-8
