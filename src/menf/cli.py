@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,15 @@ from .scenario_io import (
     parse_document,
     tuning_P_from_document,
     tuning_result_to_document,
+    validate_document,
 )
-from .sim import Trajectories, make_isolated_variant, realize_disturbances, simulate
+from .sim import (
+    Trajectories,
+    make_isolated_variant,
+    realize_disturbances,
+    simulate,
+    simulate_seeds,
+)
 from .tuning import laplacian_P, tune_scalar
 from .verify import check_hinf
 
@@ -96,10 +104,16 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             fh.write(line % tuple(row.tolist()))
 
 
-def _read_csv(path: Path) -> np.ndarray:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+def _read_csv(path: Path, width: int) -> np.ndarray:
+    """The numbers of an exported CSV: a t column and width - 1 values per row."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"not a numeric table: {exc}", str(path)) from exc
+    if data.shape[1] != width:
+        raise ScenarioFormatError(
+            f"expected {width} columns, got {data.shape[1]}", str(path)
+        )
     if not np.all(np.isfinite(data)):
         raise ScenarioFormatError("non-numeric or missing entries", str(path))
     return data
@@ -159,6 +173,7 @@ def _export_run(outdir: Path, doc: dict, scenario, traj: Trajectories) -> None:
     net = scenario.network
     t = traj.t
     n = net.n
+    e = traj.e
     _write_csv(
         outdir / "state.csv",
         ["t"] + [f"x{k + 1}" for k in range(n)],
@@ -173,7 +188,7 @@ def _export_run(outdir: Path, doc: dict, scenario, traj: Trajectories) -> None:
         _write_csv(
             outdir / f"errors_node{i}.csv",
             ["t"] + [f"e{k + 1}" for k in range(n)],
-            [t] + [traj.e[i - 1][:, k] for k in range(n)],
+            [t] + [e[i - 1][:, k] for k in range(n)],
         )
         _write_csv(
             outdir / f"gains_node{i}.csv",
@@ -240,7 +255,7 @@ def _load_manifest(traj_dir: Path) -> dict:
     if not isinstance(manifest, dict) or "scenario" not in manifest:
         raise ScenarioFormatError("manifest.yaml is missing its scenario", str(manifest_path))
     # Revalidate the embedded document before trusting it.
-    parse_document(dump_document(manifest["scenario"]), source=str(manifest_path))
+    validate_document(manifest["scenario"], source=str(manifest_path))
     return manifest
 
 
@@ -248,7 +263,7 @@ def _matching_samples(path: Path, cols: int, realized: np.ndarray) -> np.ndarray
     """Grid samples of one disturbance CSV, which must equal the samples
     realized from the manifest's scenario and seed (the 17-digit export
     round-trips exactly)."""
-    samples = _read_csv(path)[:, 1:1 + cols]
+    samples = _read_csv(path, 1 + cols)[:, 1:]
     if not np.array_equal(samples, realized):
         raise ScenarioFormatError(
             "samples differ from the disturbances realized from the manifest's "
@@ -261,23 +276,23 @@ def _matching_samples(path: Path, cols: int, realized: np.ndarray) -> np.ndarray
 def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
     net = scenario.network
     n = net.n
-    state = _read_csv(traj_dir / "state.csv")
+    state = _read_csv(traj_dir / "state.csv", 1 + n)
     t = state[:, 0]
     if not np.array_equal(t, scenario.t_grid()):
         raise ScenarioFormatError(
             "time grid differs from the manifest's scenario", str(traj_dir / "state.csv")
         )
-    x = state[:, 1:1 + n]
+    x = state[:, 1:]
     steps1 = len(t)
     xhat = np.empty((net.N, steps1, n))
     for i in net.node_ids():
-        est = _read_csv(traj_dir / f"estimates_node{i}.csv")
+        est = _read_csv(traj_dir / f"estimates_node{i}.csv", 1 + n)
         if est.shape[0] != steps1:
             raise ScenarioFormatError(
                 f"estimates_node{i}.csv has {est.shape[0]} rows, expected {steps1}",
                 str(traj_dir),
             )
-        xhat[i - 1] = est[:, 1:1 + n]
+        xhat[i - 1] = est[:, 1:]
     real = realize_disturbances(scenario)
     w_real, v_real, eps_real = real.evaluate(t, closed=True)
     w = _matching_samples(traj_dir / "disturbance_w.csv", net.plant.q, w_real)
@@ -374,6 +389,48 @@ def _cmd_verify(args) -> int:
 # reproduce-chua
 # ---------------------------------------------------------------------------
 
+def _last_second(t: np.ndarray) -> np.ndarray:
+    return t >= t[-1] - 1.0
+
+
+def _export_seeds(out: Path, doc: dict, scenario, P: np.ndarray, seeds) -> list[tuple]:
+    """Simulate the seeds in one batch and export every run. Returns per
+    seed (seed, per-node max |e_1| and max |e|_inf over the last second,
+    converged, H-infinity slack)."""
+    N = scenario.network.N
+    records = []
+    for seed, traj in zip(seeds, simulate_seeds(scenario, seeds)):
+        sdoc = json.loads(json.dumps(doc))  # deep copy
+        sdoc["sim"]["seed"] = seed
+        run = replace(scenario, seed=seed)
+        seed_dir = out / f"seed_{seed}"
+        _export_run(seed_dir, sdoc, run, traj)
+        report = check_hinf(run, traj, P)
+
+        window = _last_second(traj.t)
+        e = traj.e
+        first = [float(np.max(np.abs(e[i][window, 0]))) for i in range(N)]
+        inf = [float(np.max(np.abs(e[i][window]))) for i in range(N)]
+        converged = all(v <= 1e-2 for v in inf)
+        _write_csv(
+            seed_dir / "errors_first_coord.csv",
+            ["t"] + [f"e1_node{i}" for i in range(1, N + 1)],
+            [traj.t] + [e[i][:, 0] for i in range(N)],
+        )
+        records.append((seed, first, inf, converged, report.slack))
+    return records
+
+
+def _isolated_maxima(scenario, seeds) -> list[float]:
+    """Node 1's max |e|_inf over the last second with its incoming links cut,
+    for every seed, from one batch."""
+    window = _last_second(scenario.t_grid())
+    return [
+        float(np.max(np.abs(iso.e[0][window])))
+        for iso in simulate_seeds(make_isolated_variant(scenario, 1), seeds)
+    ]
+
+
 def _cmd_reproduce_chua(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -400,39 +457,22 @@ def _cmd_reproduce_chua(args) -> int:
         "isolated_node1_max_inf",
         "isolation_ratio",
     ]
+    scenario = document_to_scenario(
+        doc, m_inv_blocks=result.m_inv_blocks, minv_margin=result.minv_margin
+    )
+    seeds = range(args.seeds)
+    # One batch per variant, so one gain pass each; a batch's runs are
+    # released before the next batch starts.
+    records = _export_seeds(out, doc, scenario, P, seeds)
     rows = []
-    for seed in range(args.seeds):
-        sdoc = json.loads(json.dumps(doc))  # deep copy
-        sdoc["sim"]["seed"] = seed
-        scenario = document_to_scenario(
-            sdoc, m_inv_blocks=result.m_inv_blocks, minv_margin=result.minv_margin
-        )
-        traj = simulate(scenario)
-        seed_dir = out / f"seed_{seed}"
-        _export_run(seed_dir, sdoc, scenario, traj)
-        report = check_hinf(scenario, traj, P)
-
-        window = traj.t >= traj.t[-1] - 1.0
-        e = traj.e
-        first = [float(np.max(np.abs(e[i][window, 0]))) for i in range(net.N)]
-        inf = [float(np.max(np.abs(e[i][window]))) for i in range(net.N)]
-        converged = all(v <= 1e-2 for v in inf)
-
-        iso = simulate(make_isolated_variant(scenario, 1))
-        iso_max = float(np.max(np.abs(iso.e[0][window])))
+    for (seed, first, inf, converged, slack), iso_max in zip(
+        records, _isolated_maxima(scenario, seeds)
+    ):
         ratio = iso_max / max(inf[0], 1e-300)
-
-        _write_csv(
-            seed_dir / "errors_first_coord.csv",
-            ["t"] + [f"e1_node{i}" for i in range(1, net.N + 1)],
-            [traj.t] + [e[i][:, 0] for i in range(net.N)],
-        )
-        rows.append(
-            [seed, *first, *inf, converged, report.slack, iso_max, ratio]
-        )
+        rows.append([seed, *first, *inf, converged, slack, iso_max, ratio])
         print(
             f"seed {seed}: max|e|_inf[T-1,T] = {max(inf):.3e}, converged={converged}, "
-            f"slack = {report.slack:.4g}, isolation ratio = {ratio:.3g}"
+            f"slack = {slack:.4g}, isolation ratio = {ratio:.3g}"
         )
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:

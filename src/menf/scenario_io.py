@@ -122,6 +122,12 @@ def parse_document(text: str, source: str = "<string>") -> dict:
         raise ScenarioFormatError(str(exc.problem or exc), where) from exc
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(str(exc), source) from exc
+    return validate_document(raw, source)
+
+
+def validate_document(raw, source: str = "<string>") -> dict:
+    """Validate an already loaded scenario document and return it; raises
+    ScenarioFormatError with the key path of the first bad value."""
     if raw is None:
         raise _fail("empty document", source)
     doc = _check_mapping(raw, _TOP_KEYS, ("plant", "nodes", "edges", "sim"), source)

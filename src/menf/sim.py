@@ -3,25 +3,30 @@
 One engine step advances the plant state, all N estimates and all N gains
 with the classic RK4 scheme; measurements and neighbor signals are formed
 from the *stage* values of x and xhat_j, so the coupled system is
-integrated as a single vector field. The engine runs it in two passes over
-bounded chunks of steps, because the gains K_i(t) need no data:
+integrated as a single vector field. The engine, simulate_seeds, runs it
+for a batch of seeds in two passes over bounded chunks of steps, because
+the gains K_i(t) need no data and so are the same for every seed:
 
-1. Gain pass. RK4 on the gain equations alone, keeping the four stage
-   gains of every step of the chunk. One batched Cholesky factors them all
-   (its failure is SingularGain) and gives each K^-1 = L^-T L^-1; one
-   batched eigvalsh guards positivity at the chunk's grid points.
-2. State pass. The same steps for z = [x; xhat_1; ...; xhat_N], where every
-   stage's innovations are one matvec with a constant stacked operator plus
-   a per-step disturbance term computed for the whole grid up front, and
-   K^-1 comes from the cached stage inverses.
+1. Gain pass, once per chunk for the whole batch. RK4 on the gain equations
+   alone, keeping the four stage gains of every step of the chunk. One
+   batched Cholesky factors them all (its failure is SingularGain) and
+   gives each K^-1 = L^-T L^-1; one batched eigvalsh guards positivity at
+   the chunk's grid points.
+2. State pass. The same steps for every seed's z = [x; xhat_1; ...; xhat_N],
+   stacked as (S, m, 1): every stage's innovations are one mat-vec per seed
+   with a constant stacked operator plus a per-step disturbance term, and
+   K^-1 comes from the cached stage inverses. Each seed's bits are those of
+   a run on its own. simulate is the batch of one.
 
 A chunk holds CHUNK_BYTES (128 KB) of stage gains: enough to amortize the
 batched calls over tens to hundreds of steps, and small because the chunk
 buffers add directly to the peak resident memory of a run, which the
-benchmark bounds at +5%. Failures keep the timestamps
-of a step-by-step integration: on a failed chunk the earliest event in
-step order wins (stage factorizations, then non-finite values, then
-positivity at the next grid point).
+benchmark bounds at +5%. The disturbance term is evaluated per seed for a
+block of whole chunks of at most DISTURBANCE_BYTES, so apart from the
+stored states and grid samples no buffer spans the whole grid. Failures
+keep the timestamps of a step-by-step integration: on a failed chunk the
+earliest event in step order wins (stage factorizations, then non-finite
+values, then positivity at the next grid point).
 
 All built-in disturbance kinds (zero, pulse, held-gaussian) are piecewise
 constant with breakpoints snapped to the grid. Each signal is evaluated
@@ -115,8 +120,9 @@ def _snap_to_grid(value: float, dt: float, what: str) -> float:
     return snapped
 
 
-def _midpoints(steps: int, dt: float) -> np.ndarray:
-    return np.arange(steps) * dt + 0.5 * dt
+def _midpoints(k0: int, k1: int, dt: float) -> np.ndarray:
+    """Midpoints of steps k0..k1-1."""
+    return np.arange(k0, k1) * dt + 0.5 * dt
 
 
 class _Signal:
@@ -137,7 +143,7 @@ class _Signal:
     def energy_on(self, T: float, dt: float) -> float:
         """Exact squared L2 norm on [0, T]: dt * sum of squared panel values,
         since every built-in kind is constant on each panel."""
-        panels = self.values(_midpoints(int(round(T / dt)), dt))
+        panels = self.values(_midpoints(0, int(round(T / dt)), dt))
         return dt * float(np.einsum("ki,ki->", panels, panels))
 
 
@@ -419,6 +425,11 @@ class ErrorTrajectories:
 # resident memory, while larger chunks save little more Python overhead.
 CHUNK_BYTES = 128 * 1024
 
+# Byte budget per seed of the disturbance term held at once. Evaluating it
+# costs a few numpy calls per channel, so it spans many gain chunks on
+# networks with many channels and short chunks.
+DISTURBANCE_BYTES = 256 * 1024
+
 # RK4 stage times as fractions of a step.
 _STAGE_OFFSETS = (0.0, 0.5, 0.5, 1.0)
 
@@ -430,6 +441,7 @@ class _EngineData:
     def __init__(self, net: Network, m_inv_blocks):
         self.net = net
         self.A = net.plant.A
+        self.At = net.plant.A.T
         self.B = net.plant.B
         self.Q = net.plant.Q
         n, N = net.n, net.N
@@ -443,8 +455,7 @@ class _EngineData:
         self.neighbors = [net.neighbors[i] for i in net.node_ids()]
 
     def gain_rhs(self, K: np.ndarray) -> np.ndarray:
-        KQ = K @ self.Q
-        return -KQ @ K + self.S_const - self.A.T @ K - K @ self.A
+        return self.S_const - K @ self.Q @ K - self.At @ K - K @ self.A
 
     def error_inner(self, e, v, eps) -> np.ndarray:
         """(N, n) bracketed term of the error dynamics at one stage."""
@@ -509,17 +520,17 @@ def _stacked_operator(net: Network) -> np.ndarray:
 
 
 def _disturbance_term(
-    net: Network, real: RealizedDisturbances, steps: int, dt: float
+    net: Network, real: RealizedDisturbances, mids: np.ndarray
 ) -> np.ndarray:
-    """(steps, n + Nn) per-step inputs [B w_k; g_k] on the panel values, with
+    """(len(mids), n + Nn) inputs [B w_k; g_k] on the panel values at the step
+    midpoints mids, with
     g_k,i = C_i^T R_i^-1 D_i v_i + sum_j W_ij^T U_ij^-1 F_ij eps_ij.
 
     One channel is evaluated at a time, so no more than one channel's
     panel values are held at once.
     """
     n = net.n
-    mids = _midpoints(steps, dt)
-    d = np.zeros((steps, n + net.N * n))
+    d = np.zeros((len(mids), n + net.N * n))
     d[:, :n] = real.w.values(mids) @ net.plant.B.T
     for i in net.node_ids():
         node = net.node(i)
@@ -590,17 +601,38 @@ def _stage_inverses(stages: np.ndarray, k0: int, dt: float):
 
 
 def simulate(scenario: Scenario) -> Trajectories:
-    """Run the coupled plant / filter / gain integration.
+    """Run the coupled plant / filter / gain integration of one scenario.
 
-    Deterministic given the scenario seed. Raises MissingTuning when no
-    M^-1 blocks are fixed, and propagates LostPositivity / SingularGain /
-    NonFinite with the failing timestamp: the earliest failure in step
-    order, exactly as a step-by-step integration would meet it.
+    Deterministic given the scenario seed; simulate_seeds(scenario,
+    [scenario.seed])[0]. Raises MissingTuning when no M^-1 blocks are fixed,
+    and propagates LostPositivity / SingularGain / NonFinite with the failing
+    timestamp: the earliest failure in step order, exactly as a step-by-step
+    integration would meet it.
     """
+    return simulate_seeds(scenario, [scenario.seed])[0]
+
+
+def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
+    """Run the scenario once per seed, sharing one gain pass.
+
+    Returns the same bits as [simulate(replace(scenario, seed=s)) for s in
+    seeds]. The gains need no data, so each chunk's gain pass, stage
+    inverses and positivity guard run once; then all S seeds step through
+    the chunk together, their states stacked as (S, m, 1) so that every
+    stage is one mat-vec per seed. The returned runs share one read-only
+    gain array K. On failure this raises what the sequential list would:
+    the failure of the first seed, in list order, that fails, with its own
+    type and timestamp. A seed whose state turns non-finite is dropped from
+    the stack together with every seed after it, so failed seeds emit no
+    further numpy warnings.
+    """
+    scenarios = [replace(scenario, seed=s) for s in seeds]
+    if not scenarios:
+        return []
     net = scenario.network
     m_inv = scenario.require_m_inv()
     data = _EngineData(net, m_inv)
-    real = realize_disturbances(scenario)
+    reals = [realize_disturbances(sc) for sc in scenarios]
     n, N = net.n, net.N
     m = n + N * n
     dt = scenario.dt
@@ -615,22 +647,28 @@ def simulate(scenario: Scenario) -> Trajectories:
     min_gain_eig = _check_gains(K0, 0.0)
 
     M = _stacked_operator(net)
-    d = _disturbance_term(net, real, steps, dt)
-    zs = np.empty((steps + 1, m))
-    zs[0, :n] = real.x0
-    zs[0, n:] = np.concatenate([node.xi for node in net.nodes])
-    z = zs[0].copy()
+    zs = np.empty((len(scenarios), steps + 1, m))
+    zs[:, 0, :n] = [real.x0 for real in reals]
+    zs[:, 0, n:] = np.concatenate([node.xi for node in net.nodes])
+    z = zs[:, 0, :, None].copy()
+    # The first `live` seeds are still integrated; history is their part of zs.
+    live = len(scenarios)
+    history = zs[..., None]
+    failed = None
 
-    def rhs(zc, K_inv, dk):
-        y = M @ zc
-        dz = y[:m]
-        dz[:n] += dk[:n]
-        innov = (y[m:] + dk[n:]).reshape(N, n, 1)
-        dz[n:] += np.matmul(K_inv, innov).reshape(N * n)
+    def rhs(zc, K_inv, dx, dg):
+        y = np.matmul(M, zc)
+        dz = y[:, :m]
+        dz[:, :n] += dx
+        innov = (y[:, m:] + dg).reshape(len(zc), N, n, 1)
+        dz[:, n:] += np.matmul(K_inv, innov).reshape(len(zc), N * n, 1)
         return dz
 
     h2, h6 = 0.5 * dt, dt / 6.0
     chunk = max(1, CHUNK_BYTES // (4 * N * n * n * 8))
+    # The disturbance term covers d_steps steps, a whole number of chunks.
+    d_steps = chunk * max(1, DISTURBANCE_BYTES // (chunk * m * 8))
+    d_start = d_end = 0
     for k0 in range(0, steps, chunk):
         # Pass 1: gains of the chunk, their stage inverses and grid guard.
         # A failure is kept as (step offset, order within the step, error);
@@ -654,39 +692,59 @@ def simulate(scenario: Scenario) -> Trajectories:
         first = min(events, key=lambda ev: ev[:2]) if events else None
         end = len(stages) if first is None else first[0] + (first[1] >= 4)
 
-        # Pass 2: plant and estimates through the same steps.
+        # Pass 2: every live seed's plant and estimates through the same steps.
+        if k0 == d_end:
+            d_start, d_end = k0, min(k0 + d_steps, steps)
+            mids = _midpoints(d_start, d_end, dt)
+            d = np.empty((d_end - d_start, live, m, 1))
+            for d_s, real in zip(np.moveaxis(d, 1, 0), reals):
+                d_s[:, :, 0] = _disturbance_term(net, real, mids)
+            dxs, dgs = d[:, :, :n], d[:, :, n:]
         for c in range(end):
             k = k0 + c
-            dk = d[k]
+            dx, dg = dxs[k - d_start], dgs[k - d_start]
             s = 4 * c
-            dz1 = rhs(z, K_inv[s], dk)
-            dz2 = rhs(z + h2 * dz1, K_inv[s + 1], dk)
-            dz3 = rhs(z + h2 * dz2, K_inv[s + 2], dk)
-            dz4 = rhs(z + dt * dz3, K_inv[s + 3], dk)
+            dz1 = rhs(z, K_inv[s], dx, dg)
+            dz2 = rhs(z + h2 * dz1, K_inv[s + 1], dx, dg)
+            dz3 = rhs(z + h2 * dz2, K_inv[s + 2], dx, dg)
+            dz4 = rhs(z + dt * dz3, K_inv[s + 3], dx, dg)
             z = z + h6 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
-            zs[k + 1] = z
+            history[:, k + 1] = z
             if not np.isfinite(z).all():
-                raise NonFinite(float(t_grid[k + 1]))
+                live = int(np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))[0])
+                failed = NonFinite(float(t_grid[k + 1]))
+                if live == 0:
+                    raise failed
+                z, dxs, dgs, history = z[:live], dxs[:, :live], dgs[:, :live], history[:live]
         if first is not None:
             raise first[2]
+    if failed is not None:
+        raise failed
 
-    w_samples, v_samples, eps_samples = real.evaluate(t_grid, closed=True)
-    return Trajectories(
-        t=t_grid,
-        x=zs[:, :n],
-        xhat=np.transpose(zs[:, n:].reshape(steps + 1, N, n), (1, 0, 2)),
-        K=Ks,
-        w_samples=w_samples,
-        v_samples=v_samples,
-        eps_samples=eps_samples,
-        realization=real,
-        network=net,
-        hypotheses={
-            "minv_margin": scenario.minv_margin,
-            "gains_positive_definite": True,
-            "min_gain_eigenvalue": min_gain_eig,
-        },
-    )
+    t_grid.flags.writeable = False
+    Ks.flags.writeable = False
+    runs = []
+    for zs_s, real in zip(zs, reals):
+        w_samples, v_samples, eps_samples = real.evaluate(t_grid, closed=True)
+        runs.append(
+            Trajectories(
+                t=t_grid,
+                x=zs_s[:, :n],
+                xhat=np.transpose(zs_s[:, n:].reshape(steps + 1, N, n), (1, 0, 2)),
+                K=Ks,
+                w_samples=w_samples,
+                v_samples=v_samples,
+                eps_samples=eps_samples,
+                realization=real,
+                network=net,
+                hypotheses={
+                    "minv_margin": scenario.minv_margin,
+                    "gains_positive_definite": True,
+                    "min_gain_eigenvalue": min_gain_eig,
+                },
+            )
+        )
+    return runs
 
 
 def simulate_error_oracle(
@@ -714,7 +772,7 @@ def simulate_error_oracle(
     es = np.empty((net.N, steps + 1, net.n))
     es[:, 0] = e
     A, B = data.A, data.B
-    w_panels, v_panels, eps_panels = realization.evaluate(_midpoints(steps, dt))
+    w_panels, v_panels, eps_panels = realization.evaluate(_midpoints(0, steps, dt))
 
     for k in range(steps):
         t = k * dt

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import yaml
 
 from menf import check_hinf, simulate
@@ -249,3 +250,51 @@ def test_verify_rejects_samples_not_matching_the_manifest(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(out)]) == 1
     assert "disturbance_w.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: line.rsplit(",", 1)[0] + ",",  # empty field
+        lambda line: line.rsplit(",", 1)[0],  # short row
+        None,  # every row short: a narrow table
+    ],
+    ids=["empty-field", "short-row", "narrow-table"],
+)
+def test_malformed_csv_rows_rejected(tmp_path, capsys, corrupt):
+    _, _, out = tune_and_simulate(tmp_path)
+    path = out / "estimates_node2.csv"
+    lines = path.read_text().splitlines()
+    if corrupt is None:
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    else:
+        lines[7] = corrupt(lines[7])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "estimates_node2.csv" in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_bad_embedded_scenario_with_key_path(tmp_path, capsys):
+    _, _, out = tune_and_simulate(tmp_path)
+    path = out / "manifest.yaml"
+    manifest = yaml.safe_load(path.read_text())
+    manifest["scenario"]["plant"]["A"][1] = [0.0]
+    path.write_text(dump_document(manifest), encoding="utf-8")
+    assert main(["verify", str(out)]) == 1
+    assert "plant.A" in capsys.readouterr().err
+
+
+def test_reproduce_chua_seed_matches_simulate(tmp_path):
+    repro = tmp_path / "repro"
+    assert main(["reproduce-chua", "--out", str(repro), "--seeds", "2"]) == 0
+    single = tmp_path / "single"
+    assert main([
+        "simulate", str(repro / "chua.scenario"), "--out", str(single), "--seed", "1",
+        "--tuned", str(repro / "tuned.yaml"),
+    ]) == 0
+    names = sorted(p.name for p in single.glob("*.csv"))
+    assert len(names) == 30
+    for name in names:
+        assert (repro / "seed_1" / name).read_bytes() == (single / name).read_bytes(), name

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from menf import (
     realize_disturbances,
     simulate,
     simulate_error_oracle,
+    simulate_seeds,
 )
 from menf.sim import CHUA_A, CHUA_EDGES
 
@@ -408,3 +412,109 @@ def test_stacked_operator_matches_error_oracle(N, n, seed):
     traj = simulate(scenario)
     oracle = simulate_error_oracle(scenario, traj.realization)
     assert float(np.max(np.abs(traj.e - oracle.e))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# simulate_seeds: one shared gain pass, the same bits as one run per seed
+# ---------------------------------------------------------------------------
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.t, b.t)
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.xhat, b.xhat)
+    assert np.array_equal(a.K, b.K)
+    assert np.array_equal(a.w_samples, b.w_samples)
+    assert a.v_samples.keys() == b.v_samples.keys()
+    for i in a.v_samples:
+        assert np.array_equal(a.v_samples[i], b.v_samples[i])
+    assert a.eps_samples.keys() == b.eps_samples.keys()
+    for e in a.eps_samples:
+        assert np.array_equal(a.eps_samples[e], b.eps_samples[e])
+    assert a.hypotheses == b.hypotheses
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.integers(1, 4),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+)
+def test_simulate_seeds_equals_one_run_per_seed(N, n, seed, seeds):
+    rng = np.random.default_rng(seed)
+    net = _random_network(rng, N, n)
+    scenario = Scenario(
+        network=net,
+        T=0.05,
+        dt=1e-3,
+        seed=seed,
+        x0_law=X0Law(kind="gaussian", mean=0.0, std=1.0),
+        disturbances=_random_channels(rng, net, 1e-3),
+        m_inv_blocks=tuple(0.01 * np.eye(n) for _ in range(N)),
+    )
+    runs = simulate_seeds(scenario, seeds)
+    assert len(runs) == len(seeds)
+    for s, run in zip(seeds, runs):
+        _assert_same_run(run, simulate(replace(scenario, seed=s)))
+
+
+def test_simulate_seeds_shares_one_read_only_gain_array(chua_tuning):
+    scenario = replace(make_chua_scenario(0, tuning=chua_tuning), T=0.05)
+    a, b = simulate_seeds(scenario, [3, 4])
+    assert a.K is b.K
+    assert not a.K.flags.writeable
+    with pytest.raises(ValueError):
+        a.K[0, 0, 0, 0] = 1.0
+    assert not np.array_equal(a.x, b.x)
+    assert simulate_seeds(scenario, []) == []
+
+
+def _blow_up_scenario():
+    # x grows by ~e^0.5 per step from a gaussian x0, so the overflow time
+    # depends on the seed through |x0|
+    net = make_single_node_network(a=500.0)
+    return Scenario(
+        network=net,
+        T=2.0,
+        dt=1e-3,
+        seed=0,
+        x0_law=X0Law(kind="gaussian", mean=0.0, std=1.0),
+        m_inv_blocks=(np.zeros((1, 1)),),
+    )
+
+
+def _sequential_failure(scenario, seeds):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFinite) as info:
+            [simulate(replace(scenario, seed=s)) for s in seeds]
+    return info.value, len(caught)
+
+
+def test_simulate_seeds_raises_first_failing_seed_in_list_order():
+    scenario = _blow_up_scenario()
+    x0 = {s: abs(realize_disturbances(replace(scenario, seed=s)).x0[0]) for s in range(40)}
+    late, early = min(x0, key=x0.get), max(x0, key=x0.get)
+    late_exc, late_warnings = _sequential_failure(scenario, [late])
+    early_exc, early_warnings = _sequential_failure(scenario, [early])
+    assert early_exc.t < late_exc.t
+
+    for seeds, expected in (([late, early], late_exc), ([early, late], early_exc)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFinite) as info:
+                simulate_seeds(scenario, seeds)
+        assert info.value.t == expected.t
+        assert info.value.t == _sequential_failure(scenario, seeds)[0].t
+        # a failed seed is dropped from the stack, so it warns no further
+        assert len(caught) <= late_warnings + early_warnings
+
+
+def test_simulate_seeds_gain_failure_beats_later_state_failure():
+    # the shared gain fails at t = 0.0005 for every seed, before any state
+    # overflows, so the batch raises the first seed's SingularGain
+    net = make_single_node_network(a=500.0)
+    scenario = replace(_blow_up_scenario(), network=net, m_inv_blocks=(1e6 * np.eye(1),))
+    with np.errstate(all="ignore"), pytest.raises(SingularGain) as info:
+        simulate_seeds(scenario, [5, 6, 7])
+    assert "at t=0.0005:" in str(info.value)
