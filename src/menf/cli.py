@@ -50,7 +50,7 @@ from .sim import (
     simulate,
     simulate_seeds,
 )
-from .tuning import laplacian_P, tune_scalar
+from .tuning import tune_scalar
 from .verify import check_hinf
 
 EXIT_OK = 0
@@ -126,8 +126,10 @@ def _read_csv(path: Path, width: int) -> np.ndarray:
 def _cmd_tune(args) -> int:
     doc = load_document(args.scenario)
     net = document_to_network(doc)
-    if "tuning" not in doc:
-        raise ScenarioFormatError("tuning section required by `tune`", args.scenario)
+    if not {"P", "P0"} & set(doc.get("tuning", {})):
+        raise ScenarioFormatError(
+            "`tune` needs a tuning section with P or P0", args.scenario
+        )
     P = tuning_P_from_document(doc, net)
     result = tune_scalar(net, P)
     out = Path(args.out)
@@ -322,27 +324,6 @@ def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
     )
 
 
-def _resolve_verify_P(args, doc: dict, net) -> np.ndarray:
-    if args.P != "laplacian":
-        import yaml
-
-        raw = yaml.safe_load(Path(args.P).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict) or "P" not in raw:
-            raise ScenarioFormatError("P file must be a mapping with a P matrix", args.P)
-        P = np.array(raw["P"], dtype=float)
-        if P.shape != (net.n * net.N, net.n * net.N):
-            raise DimensionMismatch(
-                f"P must be {net.n * net.N}x{net.n * net.N}, got {P.shape}"
-            )
-        return P
-    tuning = doc.get("tuning", {})
-    if "P" in tuning:
-        return np.array(tuning["P"], dtype=float)
-    if "P0" in tuning:
-        return laplacian_P(net, np.array(tuning["P0"], dtype=float), float(tuning.get("ridge", 0.0)))
-    return laplacian_P(net, np.eye(net.n), ridge=0.01)
-
-
 def _cmd_verify(args) -> int:
     traj_dir = Path(args.traj_dir)
     manifest = _load_manifest(traj_dir)
@@ -354,7 +335,9 @@ def _cmd_verify(args) -> int:
     )
     traj = _load_trajectories(traj_dir, scenario)
     traj.hypotheses = dict(manifest.get("hypotheses", {}))
-    P = _resolve_verify_P(args, doc, scenario.network)
+    P = tuning_P_from_document(
+        doc, scenario.network, None if args.P == "laplacian" else args.P
+    )
     report = check_hinf(scenario, traj, P)
     lines = report.lines()
     (traj_dir / "hinf_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -516,7 +499,9 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--P",
         default="laplacian",
-        help="'laplacian' (from the scenario's tuning section) or a YAML file with a P matrix",
+        help="'laplacian': the P or P0/ridge of the scenario's tuning section, "
+        "else laplacian_P(I, ridge=0.01) for a run tuned by M/M_inv or --tuned; "
+        "or a YAML file {P: matrix}",
     )
     p.set_defaults(func=_cmd_verify)
 

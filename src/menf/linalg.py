@@ -33,7 +33,8 @@ def as_vector(value, name: str) -> np.ndarray:
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.T)
+    """0.5 (x + x^T) for a matrix, or per matrix of a stack (..., n, n)."""
+    return 0.5 * (x + x.swapaxes(-1, -2))
 
 
 def require_symmetric(x: np.ndarray, name: str) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 The information-form gain K of a node evolves by
 
-    dK/dt = -K Q K + C^T R^-1 C + sum_j W^T U^-1 W - M^-1 - A^T K - K A
+    dK/dt = S - K Q K - A^T K - K A,   S = C^T R^-1 C + sum_j W^T U^-1 W - M^-1
 
-with K(0) = Xcal. The integrator is fixed-step classic RK4: runs are
-bit-reproducible, the convergence-order check is meaningful, and the grid
-matches the coupled simulation. K is never inverted here; downstream code
-applies K^-1 through its Cholesky factor L (K^-1 = L^-T L^-1).
+with K(0) = Xcal. This module owns that equation: riccati_rhs is its one
+definition and gain_pass its one integrator, fixed-step classic RK4 over a
+stack of gain equations, which both the coupled engine (sim.simulate_seeds,
+all N nodes at once) and integrate_riccati (one gain) step chunk by chunk.
+Runs are bit-reproducible, the convergence-order check is meaningful, and
+the grid matches the coupled simulation. K is never inverted here;
+downstream code applies K^-1 through its Cholesky factor L
+(K^-1 = L^-T L^-1).
 
 The associated ARE  Z A^T + A Z - Z S Z + B B^T = 0  with
 S = C^T R^-1 C + [Delta]_ii - M^-1 (possibly indefinite) is solved for its
@@ -47,20 +51,31 @@ IMAG_AXIS_TOL = 1e-9
 # Relative singular-value threshold in the PBH stabilizability test.
 PBH_TOL = 1e-9
 
+# Byte budget of the stage gains held for one chunk of a gain pass (four
+# RK4 stage gains per step and gain). Small on purpose: the chunk's buffers
+# (stage gains, and in the engine their Cholesky factors and inverses) add
+# directly to a run's peak resident memory, while larger chunks save little
+# more Python overhead.
+CHUNK_BYTES = 128 * 1024
+
 
 @dataclass
 class RiccatiCoefficients:
-    """Constant coefficients of one node's (or the stacked) gain equation."""
+    """Constant coefficients of a gain equation, or of a stack of them.
+
+    For a stack, obs_info, comm_info and m_inv are (N, n, n) and A, Q are
+    shared; S then holds one quadratic coefficient per gain.
+    """
 
     A: np.ndarray
     Q: np.ndarray
     obs_info: np.ndarray   # C^T R^-1 C
     comm_info: np.ndarray  # sum_j W^T U^-1 W
     m_inv: np.ndarray      # M^-1 (PSD; zero disables the attenuation penalty)
-    constant: np.ndarray = field(init=False)
+    S: np.ndarray = field(init=False)  # quadratic coefficient of the associated ARE
 
     def __post_init__(self):
-        self.constant = symmetrize(self.obs_info + self.comm_info - self.m_inv)
+        self.S = symmetrize(self.obs_info + self.comm_info - self.m_inv)
 
     @classmethod
     def from_network(cls, net: Network, node_id: int, m_inv: np.ndarray):
@@ -73,18 +88,17 @@ class RiccatiCoefficients:
             m_inv=np.asarray(m_inv, dtype=float),
         )
 
-    @property
-    def S(self) -> np.ndarray:
-        """Quadratic coefficient of the associated ARE."""
-        return self.constant
-
-
-@dataclass
-class GainState:
-    """Gain matrix at one time instant."""
-
-    K: np.ndarray
-    t: float
+    @classmethod
+    def for_nodes(cls, net: Network, m_inv_blocks):
+        """Every node's gain equation as one (N, n, n) stack, node i at i - 1."""
+        ids = net.node_ids()
+        return cls(
+            A=net.plant.A,
+            Q=net.plant.Q,
+            obs_info=np.stack([net.node(i).CtRinvC for i in ids]),
+            comm_info=np.stack([net.delta_block(i) for i in ids]),
+            m_inv=np.stack([np.asarray(m_inv_blocks[i - 1], dtype=float) for i in ids]),
+        )
 
 
 @dataclass
@@ -93,12 +107,6 @@ class GainTrajectory:
 
     t: np.ndarray
     K: np.ndarray  # (len(t), n, n)
-
-    def at(self, k: int) -> GainState:
-        return GainState(K=self.K[k], t=float(self.t[k]))
-
-    def final(self) -> GainState:
-        return self.at(len(self.t) - 1)
 
 
 @dataclass
@@ -127,10 +135,68 @@ class Prop1Report:
 
 
 def riccati_rhs(K: np.ndarray, coeffs: RiccatiCoefficients) -> np.ndarray:
-    """Right-hand side of the gain equation, symmetrized."""
+    """Right-hand side of the gain equation for a gain or a stack (..., n, n).
+
+    Not symmetrized: gain_pass re-symmetrizes every accepted step instead.
+    """
     A = coeffs.A
-    out = -K @ coeffs.Q @ K + coeffs.constant - A.T @ K - K @ A
-    return symmetrize(out)
+    return coeffs.S - K @ coeffs.Q @ K - A.T @ K - K @ A
+
+
+def chunk_steps(gains_shape) -> int:
+    """Steps per gain_pass chunk for a gain stack of shape (N, n, n)."""
+    return max(1, CHUNK_BYTES // (4 * 8 * int(np.prod(gains_shape))))
+
+
+def gain_pass(
+    coeffs: RiccatiCoefficients,
+    Ks: np.ndarray,
+    k0: int,
+    k1: int,
+    dt: float,
+    t_grid: np.ndarray,
+):
+    """RK4 steps k0..k1-1 of a stack of gain equations from the gains Ks[:, k0].
+
+    Ks is (N, len(t_grid), n, n); each accepted gain is re-symmetrized and
+    written to Ks[:, k + 1]. Returns the stage gains, shape
+    (steps, 4, N, n, n) in step order; the smallest eigenvalue of the finite
+    accepted gains (None when there are none), from one batched eigvalsh;
+    and the first failure at a grid point as (step offset, 4, error), or
+    None. The 4 orders it after the four stages of its step. The error is
+    NonFinite when a gain turned non-finite, which ends the pass after that
+    step, or LostPositivity when a finite gain at an earlier grid point is
+    not positive definite.
+    """
+    h2, h6 = 0.5 * dt, dt / 6.0
+    K = Ks[:, k0]
+    stages = np.empty((k1 - k0, 4) + K.shape)
+    done, failure = k1 - k0, None
+    for k in range(k0, k1):
+        st = stages[k - k0]
+        st[0] = K
+        dK1 = riccati_rhs(K, coeffs)
+        st[1] = K + h2 * dK1
+        dK2 = riccati_rhs(st[1], coeffs)
+        st[2] = K + h2 * dK2
+        dK3 = riccati_rhs(st[2], coeffs)
+        st[3] = K + dt * dK3
+        dK4 = riccati_rhs(st[3], coeffs)
+        K = K + h6 * (dK1 + 2.0 * dK2 + 2.0 * dK3 + dK4)
+        K = 0.5 * (K + np.transpose(K, (0, 2, 1)))
+        Ks[:, k + 1] = K
+        if not np.isfinite(K).all():
+            done, failure = k - k0, (k - k0, 4, NonFinite(float(t_grid[k + 1])))
+            stages = stages[:done + 1]
+            break
+    grid = Ks[:, k0 + 1:k0 + 1 + done]
+    min_eigs = np.linalg.eigvalsh(grid)[..., 0]
+    lost = np.flatnonzero((min_eigs <= definiteness_threshold(grid)).any(axis=0))
+    if lost.size:
+        c = int(lost[0])
+        lost_at = LostPositivity(float(t_grid[k0 + c + 1]), float(min_eigs[:, c].min()))
+        failure = (c, 4, lost_at)
+    return stages, (float(min_eigs.min()) if done else None), failure
 
 
 def _check_uniform_grid(t_grid: np.ndarray) -> float:
@@ -149,27 +215,22 @@ def integrate_riccati(
 ) -> GainTrajectory:
     """Integrate the gain equation with classic RK4 on a uniform grid.
 
-    Every accepted state is re-symmetrized and checked for positive
-    definiteness; LostPositivity or NonFinite carry the failing time.
+    Steps it through gain_pass as a one-gain stack, in chunks of
+    CHUNK_BYTES, so the gains are bit for bit those of the coupled engine.
+    LostPositivity or NonFinite carry the first failing grid time; at one
+    grid point non-finite is checked before positivity.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dt = _check_uniform_grid(t_grid)
     K = require_spd(K0, "K0")
     out = np.empty((t_grid.size,) + K.shape)
     out[0] = K
-    for k in range(t_grid.size - 1):
-        k1 = riccati_rhs(K, coeffs)
-        k2 = riccati_rhs(K + 0.5 * dt * k1, coeffs)
-        k3 = riccati_rhs(K + 0.5 * dt * k2, coeffs)
-        k4 = riccati_rhs(K + dt * k3, coeffs)
-        K = symmetrize(K + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        t_next = float(t_grid[k + 1])
-        if not np.all(np.isfinite(K)):
-            raise NonFinite(t_next)
-        min_eig = float(np.linalg.eigvalsh(K)[0])
-        if min_eig <= definiteness_threshold(K):
-            raise LostPositivity(t_next, min_eig)
-        out[k + 1] = K
+    steps = t_grid.size - 1
+    chunk = chunk_steps((1,) + K.shape)
+    for k0 in range(0, steps, chunk):
+        _, _, failure = gain_pass(coeffs, out[None], k0, min(k0 + chunk, steps), dt, t_grid)
+        if failure is not None:
+            raise failure[2]
     return GainTrajectory(t=t_grid.copy(), K=out)
 
 

@@ -34,7 +34,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .errors import MissingTuning, ScenarioFormatError
+from .errors import DimensionMismatch, MissingTuning, ScenarioFormatError
 from .model import Network, NeighborLink, NodeModel, PlantModel, build_network
 from .sim import DisturbanceSpec, Scenario, X0Law
 from .tuning import TuningResult, laplacian_P
@@ -111,18 +111,23 @@ _DIST_KEYS = (
 )
 
 
-def parse_document(text: str, source: str = "<string>") -> dict:
-    """Parse and validate a scenario document; raises ScenarioFormatError
-    with line/column on YAML errors and with a key path on schema errors."""
+def _safe_load(text: str, source: str):
+    """yaml.safe_load; a YAML error becomes a ScenarioFormatError at
+    source:line:column."""
     try:
-        raw = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"{source}:{mark.line + 1}:{mark.column + 1}" if mark else source
         raise ScenarioFormatError(str(exc.problem or exc), where) from exc
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(str(exc), source) from exc
-    return validate_document(raw, source)
+
+
+def parse_document(text: str, source: str = "<string>") -> dict:
+    """Parse and validate a scenario document; raises ScenarioFormatError
+    with line/column on YAML errors and with a key path on schema errors."""
+    return validate_document(_safe_load(text, source), source)
 
 
 def validate_document(raw, source: str = "<string>") -> dict:
@@ -339,18 +344,34 @@ def document_to_scenario(
     )
 
 
-def tuning_P_from_document(doc: dict, net: Network) -> np.ndarray:
-    """Resolve the weighting P requested by the document's tuning section."""
-    tuning = doc.get("tuning")
-    if tuning is None:
-        raise _fail("document has no tuning section", "tuning")
+def tuning_P_from_document(doc: dict, net: Network, P_file=None) -> np.ndarray:
+    """The weighting P of a run, checked to be nN x nN.
+
+    Read from P_file when given, a YAML mapping {P: matrix}; else from the
+    document's tuning section: its P, or laplacian_P(P0, ridge). A document
+    with neither (a run tuned by M or M_inv, or by a tuned file) falls back
+    to laplacian_P(I, ridge=0.01), the weighting of the built-in Chua
+    experiment.
+    """
+    if P_file is not None:
+        with open(P_file, "r", encoding="utf-8") as fh:
+            raw = _safe_load(fh.read(), str(P_file))
+        tuning = _check_mapping(raw, ("P",), ("P",), str(P_file))
+        _matrix(tuning["P"], f"{P_file}: P")
+    else:
+        tuning = doc.get("tuning", {})
     if "P" in tuning:
-        return np.array(tuning["P"], dtype=float)
-    if "P0" in tuning:
-        return laplacian_P(
+        P = np.array(tuning["P"], dtype=float)
+    elif "P0" in tuning:
+        P = laplacian_P(
             net, np.array(tuning["P0"], dtype=float), float(tuning.get("ridge", 0.0))
         )
-    raise _fail("tuning section has explicit M blocks, nothing to solve", "tuning")
+    else:
+        P = laplacian_P(net, np.eye(net.n), ridge=0.01)
+    size = net.n * net.N
+    if P.shape != (size, size):
+        raise DimensionMismatch(f"P must be {size}x{size}, got {P.shape}")
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +486,7 @@ def tuning_result_to_document(result: TuningResult) -> dict:
 def load_tuned_m(path) -> tuple[tuple[np.ndarray, ...], float]:
     """Read back a tuned file: (M^-1 blocks, stacked-condition margin)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh.read())
-        except yaml.YAMLError as exc:
-            raise ScenarioFormatError(str(exc), str(path)) from exc
+        raw = _safe_load(fh.read(), str(path))
     if not isinstance(raw, dict) or "tuned" not in raw:
         raise ScenarioFormatError("not a tuned-M file (missing 'tuned' key)", str(path))
     tuned = raw["tuned"]

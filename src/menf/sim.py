@@ -7,26 +7,27 @@ integrated as a single vector field. The engine, simulate_seeds, runs it
 for a batch of seeds in two passes over bounded chunks of steps, because
 the gains K_i(t) need no data and so are the same for every seed:
 
-1. Gain pass, once per chunk for the whole batch. RK4 on the gain equations
-   alone, keeping the four stage gains of every step of the chunk. One
-   batched Cholesky factors them all (its failure is SingularGain) and
-   gives each K^-1 = L^-T L^-1; one batched eigvalsh guards positivity at
-   the chunk's grid points.
+1. Gain pass, once per chunk for the whole batch: riccati.gain_pass, the
+   package's one gain stepper, runs RK4 on the N gain equations alone,
+   keeping the four stage gains of every step of the chunk and guarding
+   positivity at the chunk's grid points with one batched eigvalsh. One
+   batched Cholesky then factors all stage gains (its failure is
+   SingularGain) and gives each K^-1 = L^-T L^-1.
 2. State pass. The same steps for every seed's z = [x; xhat_1; ...; xhat_N],
    stacked as (S, m, 1): every stage's innovations are one mat-vec per seed
    with a constant stacked operator plus a per-step disturbance term, and
    K^-1 comes from the cached stage inverses. Each seed's bits are those of
    a run on its own. simulate is the batch of one.
 
-A chunk holds CHUNK_BYTES (128 KB) of stage gains: enough to amortize the
-batched calls over tens to hundreds of steps, and small because the chunk
-buffers add directly to the peak resident memory of a run, which the
-benchmark bounds at +5%. The disturbance term is evaluated per seed for a
-block of whole chunks of at most DISTURBANCE_BYTES, so apart from the
-stored states and grid samples no buffer spans the whole grid. Failures
-keep the timestamps of a step-by-step integration: on a failed chunk the
-earliest event in step order wins (stage factorizations, then non-finite
-values, then positivity at the next grid point).
+A chunk holds riccati.CHUNK_BYTES (128 KB) of stage gains: enough to
+amortize the batched calls over tens to hundreds of steps, and small
+because the chunk buffers add directly to the peak resident memory of a
+run, which the benchmark bounds at +5%. The disturbance term is evaluated
+per seed for a block of whole chunks of at most DISTURBANCE_BYTES, so
+apart from the stored states and grid samples no buffer spans the whole
+grid. Failures keep the timestamps of a step-by-step integration: on a
+failed chunk the earliest event in step order wins (stage factorizations,
+then non-finite values, then positivity at the next grid point).
 
 All built-in disturbance kinds (zero, pulse, held-gaussian) are piecewise
 constant with breakpoints snapped to the grid. Each signal is evaluated
@@ -56,8 +57,9 @@ from .errors import (
     NonFinite,
     SingularGain,
 )
-from .linalg import definiteness_threshold, require_psd, symmetrize
+from .linalg import definiteness_threshold, require_psd
 from .model import Network, NeighborLink, NodeModel, PlantModel, build_network
+from .riccati import RiccatiCoefficients, chunk_steps, gain_pass, riccati_rhs
 
 GRID_TOL = 1e-9
 
@@ -419,12 +421,6 @@ class ErrorTrajectories:
 # Engine
 # ---------------------------------------------------------------------------
 
-# Byte budget of the stage gains held for one chunk of the gain pass (four
-# RK4 stage gains per step and node). Small on purpose: the chunk's buffers
-# (stage gains, Cholesky factors, inverses) add directly to a run's peak
-# resident memory, while larger chunks save little more Python overhead.
-CHUNK_BYTES = 128 * 1024
-
 # Byte budget per seed of the disturbance term held at once. Evaluating it
 # costs a few numpy calls per channel, so it spans many gain chunks on
 # networks with many channels and short chunks.
@@ -434,42 +430,17 @@ DISTURBANCE_BYTES = 256 * 1024
 _STAGE_OFFSETS = (0.0, 0.5, 0.5, 1.0)
 
 
-class _EngineData:
-    """Per-run constant data: the gain equation's coefficients and the
-    per-node error-dynamics terms of the cross-check oracle."""
-
-    def __init__(self, net: Network, m_inv_blocks):
-        self.net = net
-        self.A = net.plant.A
-        self.At = net.plant.A.T
-        self.B = net.plant.B
-        self.Q = net.plant.Q
-        n, N = net.n, net.N
-        self.S_const = np.empty((N, n, n))
-        for i in net.node_ids():
-            node = net.node(i)
-            self.S_const[i - 1] = symmetrize(
-                node.CtRinvC + net.delta_block(i) - np.asarray(m_inv_blocks[i - 1])
-            )
-        self.nodes: list[NodeModel] = list(net.nodes)
-        self.neighbors = [net.neighbors[i] for i in net.node_ids()]
-
-    def gain_rhs(self, K: np.ndarray) -> np.ndarray:
-        return self.S_const - K @ self.Q @ K - self.At @ K - K @ self.A
-
-    def error_inner(self, e, v, eps) -> np.ndarray:
-        """(N, n) bracketed term of the error dynamics at one stage."""
-        out = np.empty_like(e)
-        for idx, node in enumerate(self.nodes):
-            inner = node.CtRinvC @ e[idx] - node.CtRinv @ (node.D @ v[idx + 1])
-            for j in self.neighbors[idx]:
-                link = node.links[j]
-                inner = inner + link.WtUinvW @ e[idx]
-                inner = inner - link.WtUinv @ (
-                    link.W @ e[j - 1] + link.F @ eps[(idx + 1, j)]
-                )
-            out[idx] = inner
-        return out
+def _error_inner(net: Network, e, v, eps) -> np.ndarray:
+    """(N, n) bracketed term of the error dynamics at one stage."""
+    out = np.empty_like(e)
+    for i, node in zip(net.node_ids(), net.nodes):
+        inner = node.CtRinvC @ e[i - 1] - node.CtRinv @ (node.D @ v[i])
+        for j in net.neighbors[i]:
+            link = node.links[j]
+            inner = inner + link.WtUinvW @ e[i - 1]
+            inner = inner - link.WtUinv @ (link.W @ e[j - 1] + link.F @ eps[(i, j)])
+        out[i - 1] = inner
+    return out
 
 
 def _spd_solve_batched(K: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
@@ -482,17 +453,10 @@ def _spd_solve_batched(K: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
     return np.linalg.solve(np.transpose(L, (0, 2, 1)), y)[:, :, 0]
 
 
-def _min_eigenvalues(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalue of every gain in a stack (..., n, n), and whether
-    it clears the positive-definiteness threshold."""
-    min_eigs = np.linalg.eigvalsh(K)[..., 0]
-    return min_eigs, min_eigs > definiteness_threshold(K)
-
-
 def _check_gains(K: np.ndarray, t: float) -> float:
     """Positive-definiteness guard at an accepted grid point; returns min eig."""
-    min_eigs, ok = _min_eigenvalues(K)
-    if not ok.all():
+    min_eigs = np.linalg.eigvalsh(K)[..., 0]
+    if not (min_eigs > definiteness_threshold(K)).all():
         raise LostPositivity(t, float(min_eigs.min()))
     return float(min_eigs.min())
 
@@ -539,35 +503,6 @@ def _disturbance_term(
         link = net.link(i, j)
         d[:, n * i:n * (i + 1)] += real.eps[(i, j)].values(mids) @ (link.WtUinv @ link.F).T
     return d
-
-
-def _gain_pass(data: _EngineData, Ks: np.ndarray, k0: int, k1: int, dt: float):
-    """RK4 gain steps k0..k1-1 from the gain Ks[:, k0], without data.
-
-    Writes each accepted grid gain to Ks[:, k + 1] and returns the stage
-    gains, shape (steps, 4, N, n, n), with the step at which the gain first
-    became non-finite (None when every step stayed finite). The pass stops
-    after that step.
-    """
-    h2, h6 = 0.5 * dt, dt / 6.0
-    K = Ks[:, k0]
-    stages = np.empty((k1 - k0, 4) + K.shape)
-    for k in range(k0, k1):
-        st = stages[k - k0]
-        st[0] = K
-        dK1 = data.gain_rhs(K)
-        st[1] = K + h2 * dK1
-        dK2 = data.gain_rhs(st[1])
-        st[2] = K + h2 * dK2
-        dK3 = data.gain_rhs(st[2])
-        st[3] = K + dt * dK3
-        dK4 = data.gain_rhs(st[3])
-        K = K + h6 * (dK1 + 2.0 * dK2 + 2.0 * dK3 + dK4)
-        K = 0.5 * (K + np.transpose(K, (0, 2, 1)))
-        Ks[:, k + 1] = K
-        if not np.isfinite(K).all():
-            return stages[:k - k0 + 1], k
-    return stages, None
 
 
 def _inverses(stages: np.ndarray) -> np.ndarray:
@@ -630,8 +565,7 @@ def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
     if not scenarios:
         return []
     net = scenario.network
-    m_inv = scenario.require_m_inv()
-    data = _EngineData(net, m_inv)
+    coeffs = RiccatiCoefficients.for_nodes(net, scenario.require_m_inv())
     reals = [realize_disturbances(sc) for sc in scenarios]
     n, N = net.n, net.N
     m = n + N * n
@@ -665,30 +599,22 @@ def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
         return dz
 
     h2, h6 = 0.5 * dt, dt / 6.0
-    chunk = max(1, CHUNK_BYTES // (4 * N * n * n * 8))
+    chunk = chunk_steps(K0.shape)
     # The disturbance term covers d_steps steps, a whole number of chunks.
     d_steps = chunk * max(1, DISTURBANCE_BYTES // (chunk * m * 8))
     d_start = d_end = 0
     for k0 in range(0, steps, chunk):
-        # Pass 1: gains of the chunk, their stage inverses and grid guard.
+        # Pass 1: gains of the chunk, their grid guard and stage inverses.
         # A failure is kept as (step offset, order within the step, error);
-        # within a step, stage factorizations come first, then the
-        # non-finite check at the next grid point, then positivity there.
-        stages, k_bad = _gain_pass(data, Ks, k0, min(k0 + chunk, steps), dt)
+        # within a step, stage factorizations come first, then the grid
+        # point after it (non-finite, then positivity).
+        stages, min_eig, grid_failure = gain_pass(
+            coeffs, Ks, k0, min(k0 + chunk, steps), dt, t_grid
+        )
         K_inv, failure = _stage_inverses(stages, k0, dt)
-        finite = len(stages) if k_bad is None else k_bad - k0
-        min_eigs, ok = _min_eigenvalues(Ks[:, k0 + 1:k0 + 1 + finite])
-        if finite:
-            min_gain_eig = min(min_gain_eig, float(min_eigs.min()))
-        events = [] if failure is None else [failure]
-        if k_bad is not None:
-            events.append((k_bad - k0, 4, NonFinite(float(t_grid[k_bad + 1]))))
-        lost = np.flatnonzero(~ok.all(axis=0))
-        if lost.size:
-            c = int(lost[0])
-            events.append(
-                (c, 5, LostPositivity(float(t_grid[k0 + c + 1]), float(min_eigs[:, c].min())))
-            )
+        if min_eig is not None:
+            min_gain_eig = min(min_gain_eig, min_eig)
+        events = [ev for ev in (failure, grid_failure) if ev is not None]
         first = min(events, key=lambda ev: ev[:2]) if events else None
         end = len(stages) if first is None else first[0] + (first[1] >= 4)
 
@@ -756,7 +682,7 @@ def simulate_error_oracle(
     disturbances of a prior run. Cross-validation only: the result must match
     xhat - x from simulate() up to roundoff."""
     net = scenario.network
-    data = _EngineData(net, scenario.require_m_inv())
+    coeffs = RiccatiCoefficients.for_nodes(net, scenario.require_m_inv())
     dt = scenario.dt
     steps = scenario.steps
     t_grid = scenario.t_grid()
@@ -771,7 +697,7 @@ def simulate_error_oracle(
 
     es = np.empty((net.N, steps + 1, net.n))
     es[:, 0] = e
-    A, B = data.A, data.B
+    A, B = net.plant.A, net.plant.B
     w_panels, v_panels, eps_panels = realization.evaluate(_midpoints(0, steps, dt))
 
     for k in range(steps):
@@ -781,10 +707,10 @@ def simulate_error_oracle(
         Bw = B @ w_panels[k]
 
         def rhs(ec, Kc, stage_t):
-            inner = data.error_inner(ec, v, eps)
+            inner = _error_inner(net, ec, v, eps)
             corr = _spd_solve_batched(Kc, inner, stage_t)
             de = ec @ A.T - Bw[None, :] - corr
-            dK = data.gain_rhs(Kc)
+            dK = riccati_rhs(Kc, coeffs)
             return de, dK
 
         de1, dK1 = rhs(e, K, t)

@@ -12,8 +12,8 @@ bisected first (with a closed-loop decay-rate floor, relaxed over a ladder
 if needed), then one shared level t is bisected so that the profile
 mu_i = min(t, cap_i) clears the stacked condition with half the maximum
 achievable margin. The search degenerates to a single uniform scalar
-whenever no cap binds. Every returned witness is re-verified through an
-independent evaluation of both conditions.
+whenever no cap binds. Every returned profile is re-verified by
+verify_tuning, an independent evaluation of both conditions.
 
 Strictness: at an exact ARE solution the node LMI block has lambda_max = 0,
 so the strict witness X_i is taken from the ARE with constant term inflated
@@ -22,7 +22,7 @@ to B B^T + theta I, which shifts the block to -theta X_i^2 < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,8 @@ WITNESS_THETAS = (1e-4, 1e-6, 1e-8)
 BISECT_RTOL = 1e-6
 # Closed-loop decay-rate floors tried in order (negated spectral abscissa).
 DECAY_FLOORS = (0.5, 0.35, 0.25, 0.15, 0.1, 0.05, 0.0)
+# Upper end of the per-node cap bisection on mu_i.
+MU_HI = 1e4
 
 
 @dataclass
@@ -169,9 +171,7 @@ def node_feasible(
     )
 
 
-def _node_cap(
-    net: Network, node_id: int, decay_floor: float, mu_hi: float
-) -> float | None:
+def _node_cap(net: Network, node_id: int, decay_floor: float) -> float | None:
     """Largest mu with a feasible node certificate whose closed loop decays
     at rate >= decay_floor; None when even mu = 0 is infeasible."""
     plant = net.plant
@@ -186,9 +186,9 @@ def _node_cap(
 
     if not ok(0.0):
         return None
-    if ok(mu_hi):
-        return mu_hi
-    lo, hi = 0.0, mu_hi
+    if ok(MU_HI):
+        return MU_HI
+    lo, hi = 0.0, MU_HI
     while hi - lo > BISECT_RTOL * (1.0 + hi):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -198,24 +198,18 @@ def _node_cap(
     return lo
 
 
-def tune_scalar(
-    net: Network,
-    P: np.ndarray,
-    *,
-    gm_builder=assemble_global,
-    mu_hi: float = 1e4,
-    decay_floors=DECAY_FLOORS,
-) -> TuningResult:
+def tune_scalar(net: Network, P: np.ndarray) -> TuningResult:
     """Search a per-node scalar profile M_i^-1 = mu_i I with certificates.
 
     Per-node caps are bisected at the strongest decay floor for which the
     stacked condition is attainable; the shared level t is then bisected to
     the smallest value reaching half the maximum margin, and
     mu_i = min(t, cap_i). Raises Infeasible (with the uniform-scalar lower
-    bound mu_lo as diagnosis) when no floor admits a profile.
+    bound mu_lo as diagnosis) when no floor admits a profile or the chosen
+    profile fails verify_tuning.
     """
     P = require_symmetric(P, "P")
-    gm = gm_builder(net, None)
+    gm = assemble_global(net, None)
     n, N = net.n, net.N
     if P.shape != (n * N, n * N):
         raise DimensionMismatch(f"P must be {n * N}x{n * N}, got {P.shape}")
@@ -230,14 +224,14 @@ def tune_scalar(
 
     chosen = None
     last_diag = ""
-    for floor in decay_floors:
+    for floor in DECAY_FLOORS:
         caps = []
         for i in net.node_ids():
-            cap = _node_cap(net, i, floor, mu_hi)
+            cap = _node_cap(net, i, floor)
             if cap is None:
                 raise Infeasible(
                     mu_lo_uniform,
-                    mu_hi,
+                    MU_HI,
                     f"node {i} has no feasible attenuation level at any M^-1 >= 0",
                 )
             caps.append(cap)
@@ -251,7 +245,7 @@ def tune_scalar(
         )
     if chosen is None:
         raise Infeasible(
-            mu_lo_uniform, mu_hi, f"stacked condition unattainable: {last_diag}"
+            mu_lo_uniform, MU_HI, f"stacked condition unattainable: {last_diag}"
         )
     floor, caps, max_margin = chosen
 
@@ -269,41 +263,21 @@ def tune_scalar(
             lo = mid
     mu_profile = np.minimum(hi, caps)
 
-    # Independent re-verification of both sides at the chosen profile.
-    m_inv_blocks = tuple(mu * np.eye(n) for mu in mu_profile)
-    M_blocks = tuple((1.0 / mu) * np.eye(n) for mu in mu_profile)
-    minv_margin = check_minv(gm_builder(net, M_blocks), M_blocks, P)
-    if minv_margin <= 0.0:
+    try:
+        result = verify_tuning(net, P, [mu * np.eye(n) for mu in mu_profile])
+    except Infeasible as exc:
         raise Infeasible(
-            mu_lo_uniform, mu_hi, f"re-verification margin {minv_margin:.4g} <= 0"
-        )
-    certificates = []
-    for i in net.node_ids():
-        cert = node_feasible(
-            net.plant, net.node(i), net.delta_block(i), m_inv_blocks[i - 1]
-        )
-        cert.node_id = i
-        if not cert.feasible:
-            raise Infeasible(
-                mu_lo_uniform, mu_hi, f"re-verification failed at node {i}: {cert.reason}"
-            )
-        certificates.append(cert)
-
-    return TuningResult(
-        M_blocks=M_blocks,
-        m_inv_blocks=m_inv_blocks,
-        P=P,
-        minv_margin=minv_margin,
-        node_certificates=tuple(certificates),
+            mu_lo_uniform, MU_HI, f"re-verification failed: {exc.detail}"
+        ) from exc
+    return replace(
+        result,
         mu_profile=tuple(float(m) for m in mu_profile),
         mu_lo_uniform=mu_lo_uniform,
         decay_floor=floor,
     )
 
 
-def verify_tuning(
-    net: Network, P: np.ndarray, m_inv_blocks, *, gm_builder=assemble_global
-) -> TuningResult:
+def verify_tuning(net: Network, P: np.ndarray, m_inv_blocks) -> TuningResult:
     """Re-verify externally supplied M_i^-1 blocks against both conditions.
 
     Accepts any positive definite blocks (e.g. from an external SDP solver)
@@ -314,7 +288,7 @@ def verify_tuning(
         require_spd(b, f"M_inv_{i}") for i, b in enumerate(m_inv_blocks, start=1)
     )
     M_blocks = tuple(symmetrize(np.linalg.inv(b)) for b in m_inv_blocks)
-    minv_margin = check_minv(gm_builder(net, M_blocks), M_blocks, P)
+    minv_margin = check_minv(assemble_global(net, M_blocks), M_blocks, P)
     if minv_margin <= 0.0:
         raise Infeasible(float("nan"), float("nan"), f"margin {minv_margin:.4g} <= 0")
     certificates = []

@@ -164,8 +164,11 @@ def energy_cost(
     """Node energy functional J_{i,t} evaluated at candidate unknowns.
 
     The candidate state trajectory is integrated from candidates.x0 under
-    candidates.w (RK4, stage values by linear interpolation of the grid
-    samples); measurement and neighbor data are reconstructed from the run.
+    candidates.w by RK4 with stage values of w interpolated linearly between
+    the grid samples. This is deliberately not the engine's scheme, which
+    holds each disturbance at its panel value: a candidate w is arbitrary
+    grid samples, not a panel-constant signal. Measurement and neighbor data
+    are reconstructed from the run.
     Includes the negative ||x - xhat_i||^2_{M^-1} term. Diagnostic only: the
     filter estimate is the minimizer by construction.
     """

@@ -168,7 +168,7 @@ def test_corrupt_csv_rejected(tmp_path):
     assert main(["verify", str(out)]) == 1
 
 
-def test_verify_p_file_and_dimension_check(tmp_path):
+def test_verify_p_file_and_dimension_check(tmp_path, capsys):
     scen = write_small(tmp_path)
     tuned = tmp_path / "tuned.yaml"
     main(["tune", str(scen), "--out", str(tuned)])
@@ -180,6 +180,16 @@ def test_verify_p_file_and_dimension_check(tmp_path):
     bad = tmp_path / "P_bad.yaml"
     bad.write_text(yaml.safe_dump({"P": np.eye(3).tolist()}), encoding="utf-8")
     assert main(["verify", str(out), "--P", str(bad)]) == 1
+    capsys.readouterr()
+    # malformed YAML, then a non-numeric entry: exit 1 naming the file
+    for name, text, where in [
+        ("unclosed.yaml", "P: [[1.0\n", "unclosed.yaml:"),
+        ("text_entry.yaml", 'P: [[1.0, "a"]]\n', "text_entry.yaml: P[0]"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(out), "--P", str(path)]) == 1
+        assert where in capsys.readouterr().err
 
 
 def test_reproduce_chua_single_seed(tmp_path):

@@ -1,17 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from menf import (
-    AreSolution,
     LostPositivity,
     NoStabilizingSolution,
     NotStabilizable,
     PreconditionViolated,
     RiccatiCoefficients,
+    SingularGain,
     assemble_global,
     integrate_global_riccati,
     integrate_riccati,
+    make_chua_scenario,
     riccati_rhs,
+    simulate,
     solve_are_stabilizing,
     verify_prop1_limit,
 )
@@ -60,7 +64,9 @@ def test_rhs_scalar_fixed_point():
     assert riccati_rhs(np.array([[1.0]]), coeffs)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_rhs_preserves_symmetry():
+def test_rk4_steps_preserve_symmetry():
+    # riccati_rhs is not exactly symmetric in floating point; every accepted
+    # step is re-symmetrized instead.
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
     Q = np.eye(4) * 0.5
@@ -69,8 +75,8 @@ def test_rhs_preserves_symmetry():
     )
     K = rng.standard_normal((4, 4))
     K = K @ K.T + np.eye(4)
-    out = riccati_rhs(K, coeffs)
-    assert np.array_equal(out, out.T)
+    traj = integrate_riccati(coeffs, K, np.arange(0, 0.01 + 1e-12, 1e-3))
+    assert np.array_equal(traj.K, np.swapaxes(traj.K, 1, 2))
 
 
 def test_rhs_chua_node3_vs_elementwise_oracle(chua_net, chua_tuning):
@@ -78,7 +84,7 @@ def test_rhs_chua_node3_vs_elementwise_oracle(chua_net, chua_tuning):
         chua_net, 3, chua_tuning.m_inv_blocks[2]
     )
     K = 10.0 * np.eye(3)
-    expected = elementwise_rhs_oracle(K, coeffs.A, coeffs.Q, coeffs.constant)
+    expected = elementwise_rhs_oracle(K, coeffs.A, coeffs.Q, coeffs.S)
     np.testing.assert_allclose(riccati_rhs(K, coeffs), expected, rtol=0, atol=1e-12)
 
 
@@ -102,13 +108,32 @@ def test_integrate_stationary_at_are_limit(chua_net, chua_tuning):
     assert drift <= 1e-9
 
 
-def test_integrate_lost_positivity_for_large_penalty(chua_net):
+def test_integrate_lost_positivity_for_large_penalty(chua_net, chua_tuning):
     # node 1 with a crushing attenuation demand leaves the positive cone
     coeffs = RiccatiCoefficients.from_network(chua_net, 1, 12.0 * np.eye(3))
     t = np.arange(0, 10.0 + 1e-12, 1e-3)
     with pytest.raises(LostPositivity) as exc:
         integrate_riccati(coeffs, 10.0 * np.eye(3), t)
     assert 0.0 < exc.value.t < 1.0
+    # The coupled engine steps the same gains and also factors their RK4
+    # stages, so it fails in the same step, at its midpoint stage.
+    scenario = make_chua_scenario(0, tuning=chua_tuning, disturbance_kind="zero")
+    m_inv = (12.0 * np.eye(3),) + tuple(chua_tuning.m_inv_blocks[1:])
+    with pytest.raises(SingularGain) as engine_exc:
+        simulate(replace(scenario, T=1.0, m_inv_blocks=m_inv))
+    assert f"at t={exc.value.t - 0.5e-3:.6g}:" in str(engine_exc.value)
+
+
+def test_integrate_matches_engine_gains(chua_net, chua_tuning):
+    # one gain stepper: a node's gain on its own is bit for bit the engine's
+    scenario = replace(make_chua_scenario(0, tuning=chua_tuning), T=1.0)
+    traj = simulate(scenario)
+    for i in chua_net.node_ids():
+        coeffs = RiccatiCoefficients.from_network(
+            chua_net, i, chua_tuning.m_inv_blocks[i - 1]
+        )
+        alone = integrate_riccati(coeffs, 10.0 * np.eye(3), scenario.t_grid())
+        assert np.array_equal(alone.K, traj.K[i - 1])
 
 
 def test_rk4_order_on_scalar_closed_form():
@@ -251,16 +276,3 @@ def test_prop1_precondition_enforced():
         verify_prop1_limit(traj, sol)
     report = verify_prop1_limit(traj, sol, enforce_precondition=False)
     assert not report.k0_dominates
-
-
-def test_gain_trajectory_accessors():
-    coeffs = scalar_coeffs(-1.0, 1.0, 1.0)
-    t = np.arange(0, 0.1 + 1e-12, 1e-3)
-    traj = integrate_riccati(coeffs, np.array([[2.0]]), t)
-    first, last = traj.at(0), traj.final()
-    assert first.t == 0.0 and first.K[0, 0] == 2.0
-    assert last.t == pytest.approx(0.1)
-    assert isinstance(
-        solve_are_stabilizing(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]])),
-        AreSolution,
-    )
