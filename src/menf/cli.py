@@ -31,6 +31,9 @@ from .errors import (
     SingularGain,
 )
 from .scenario_io import (
+    _blocks,
+    _check_mapping,
+    _safe_load,
     bundled_chua_text,
     document_hash,
     document_to_network,
@@ -152,11 +155,12 @@ def _cmd_tune(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _apply_overrides(doc: dict, args) -> dict:
+    """The document with --seed/--dt applied, validated again."""
     if getattr(args, "seed", None) is not None:
         doc["sim"]["seed"] = int(args.seed)
     if getattr(args, "dt", None) is not None:
         doc["sim"]["dt"] = float(args.dt)
-    return doc
+    return validate_document(doc, source=args.scenario)
 
 
 def _resolve_m(doc: dict, args):
@@ -247,17 +251,21 @@ def _cmd_simulate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+_MANIFEST_KEYS = ("scenario", "scenario_sha256", "seed", "version", "m_inv", "hypotheses")
+_HYPOTHESIS_KEYS = ("minv_margin", "gains_positive_definite", "min_gain_eigenvalue")
+
+
 def _load_manifest(traj_dir: Path) -> dict:
     manifest_path = traj_dir / "manifest.yaml"
     if not manifest_path.exists():
         raise ScenarioFormatError("manifest.yaml not found", str(traj_dir))
-    import yaml
-
-    manifest = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
-    if not isinstance(manifest, dict) or "scenario" not in manifest:
-        raise ScenarioFormatError("manifest.yaml is missing its scenario", str(manifest_path))
+    source = str(manifest_path)
+    manifest = _safe_load(manifest_path.read_text(encoding="utf-8"), source)
+    _check_mapping(manifest, _MANIFEST_KEYS, ("scenario", "m_inv"), source)
+    _blocks(manifest["m_inv"], f"{source}: m_inv")
+    _check_mapping(manifest.get("hypotheses", {}), _HYPOTHESIS_KEYS, (), f"{source}: hypotheses")
     # Revalidate the embedded document before trusting it.
-    validate_document(manifest["scenario"], source=str(manifest_path))
+    validate_document(manifest["scenario"], source=source)
     return manifest
 
 

@@ -86,15 +86,6 @@ class SingularGain(MenfError):
         self.detail = detail
 
 
-class MissingNeighborSignal(MenfError):
-    """A filter step was given no signal for a declared neighbor."""
-
-    def __init__(self, node_id: int, neighbor_id: int):
-        super().__init__(f"node {node_id} missing signal from neighbor {neighbor_id}")
-        self.node_id = node_id
-        self.neighbor_id = neighbor_id
-
-
 class Infeasible(MenfError):
     """The tuning search found no admissible weighting profile."""
 

@@ -1,88 +1,100 @@
-"""Node filter vector field and the matching error dynamics.
+"""The node filter vector field and the matching error dynamics.
 
-filter_rhs drives the estimate from local measurements and neighbor
-signals; error_rhs is the algebraically equivalent recursion for
-e_i = xhat_i - x and exists as an independent cross-check path. Both apply
-K^-1 through an SPD solve and never materialize the inverse.
+Node i's filter is
+
+    dxhat_i/dt = A xhat_i + K_i^-1 (C_i^T R_i^-1 (y_i - C_i xhat_i)
+                                    + sum_j W_ij^T U_ij^-1 (c_ij - W_ij xhat_i))
+
+with y_i = C_i x + D_i v_i and c_ij = W_ij xhat_j + F_ij eps_ij. The engine
+steps it for all nodes at once, together with the plant dx/dt = A x + B w,
+on the stacked state z = [x; xhat_1; ...; xhat_N]: filter_field applies the
+constant stacked_operator of the network and adds the panel inputs of
+disturbance_term. The gains enter as cached inverses K_i^-1.
+
+error_inner is the same field written for the errors e_i = xhat_i - x, one
+node at a time. simulate_error_oracle integrates it with its own Cholesky
+solves as an independent cross-check of the engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingNeighborSignal
-from .linalg import as_vector, spd_solve
-from .model import NodeModel, PlantModel
+from .model import Network
 
 
-def _check_neighbor_keys(node_id: int, expected, given) -> None:
-    expected = set(expected)
-    given = set(given)
-    for j in sorted(expected - given):
-        raise MissingNeighborSignal(node_id, j)
-    extra = given - expected
-    if extra:
-        raise ValueError(f"node {node_id} got signals from non-neighbors {sorted(extra)}")
+def stacked_operator(net: Network) -> np.ndarray:
+    """Constant ((n + 2Nn) x (n + Nn)) operator on z = [x; xhat_1; ...; xhat_N].
 
-
-def plant_rhs(plant: PlantModel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return plant.A @ x + plant.B @ w
-
-
-def filter_rhs(
-    plant: PlantModel,
-    node: NodeModel,
-    node_id: int,
-    neighbors,
-    K: np.ndarray,
-    xhat: np.ndarray,
-    y: np.ndarray,
-    c: dict[int, np.ndarray],
-) -> np.ndarray:
-    """dxhat/dt = A xhat + K^-1 (C^T R^-1 (y - C xhat)
-                               + sum_j W^T U^-1 (c_ij - W xhat)).
-
-    c must carry exactly the keys in `neighbors`; raises
-    MissingNeighborSignal or SingularGain.
+    Its rows give A x, then A xhat_i for every node, then the innovations
+    H z without their disturbance term: block row i of H holds C_i^T R_i^-1 C_i
+    on x, -(C_i^T R_i^-1 C_i + sum_j W_ij^T U_ij^-1 W_ij) on xhat_i and
+    W_ij^T U_ij^-1 W_ij on xhat_j for each edge (i, j), where j sends to i.
     """
-    _check_neighbor_keys(node_id, neighbors, c.keys())
-    xhat = as_vector(xhat, "xhat")
-    innovation = node.CtRinv @ (as_vector(y, "y") - node.C @ xhat)
-    for j in neighbors:
-        link = node.links[j]
-        innovation = innovation + link.WtUinv @ (
-            as_vector(c[j], f"c[{j}]") - link.W @ xhat
-        )
-    return plant.A @ xhat + spd_solve(K, innovation)
+    n, N = net.n, net.N
+    m = n + N * n
+    M = np.zeros((m + N * n, m))
+    M[:m, :m] = np.kron(np.eye(N + 1), net.plant.A)
+    for i in net.node_ids():
+        node = net.node(i)
+        rows = slice(m + n * (i - 1), m + n * i)
+        M[rows, :n] = node.CtRinvC
+        M[rows, n * i:n * (i + 1)] = -(node.CtRinvC + net.delta_block(i))
+        for j in net.neighbors[i]:
+            M[rows, n * j:n * (j + 1)] = net.link(i, j).WtUinvW
+    return M
 
 
-def error_rhs(
-    plant: PlantModel,
-    node: NodeModel,
-    node_id: int,
-    neighbors,
-    K: np.ndarray,
-    e: np.ndarray,
-    e_neighbors: dict[int, np.ndarray],
-    w: np.ndarray,
-    v: np.ndarray,
-    eps: dict[int, np.ndarray],
-) -> np.ndarray:
-    """de/dt = A e - B w - K^-1 ((C^T R^-1 C + sum_j W^T U^-1 W) e
-                                 - C^T R^-1 D v
-                                 - sum_j W^T U^-1 (W e_j + F eps_ij)).
+def disturbance_term(net: Network, real, mids: np.ndarray) -> np.ndarray:
+    """(len(mids), n + Nn) inputs [B w_k; g_k] of a realization on its panel
+    values at the step midpoints mids, with
+    g_k,i = C_i^T R_i^-1 D_i v_i + sum_j W_ij^T U_ij^-1 F_ij eps_ij.
 
-    Used only for cross-validation against filter_rhs minus plant_rhs.
+    One channel is evaluated at a time, so no more than one channel's
+    panel values are held at once.
     """
-    _check_neighbor_keys(node_id, neighbors, e_neighbors.keys())
-    _check_neighbor_keys(node_id, neighbors, eps.keys())
-    e = as_vector(e, "e")
-    inner = node.CtRinvC @ e - node.CtRinv @ (node.D @ as_vector(v, "v"))
-    for j in neighbors:
-        link = node.links[j]
-        inner = inner + link.WtUinvW @ e
-        inner = inner - link.WtUinv @ (
-            link.W @ as_vector(e_neighbors[j], f"e[{j}]")
-            + link.F @ as_vector(eps[j], f"eps[{j}]")
-        )
-    return plant.A @ e - plant.B @ as_vector(w, "w") - spd_solve(K, inner)
+    n = net.n
+    d = np.zeros((len(mids), n + net.N * n))
+    d[:, :n] = real.w.values(mids) @ net.plant.B.T
+    for i in net.node_ids():
+        node = net.node(i)
+        d[:, n * i:n * (i + 1)] += real.v[i].values(mids) @ (node.CtRinv @ node.D).T
+    for (i, j) in net.edges:
+        link = net.link(i, j)
+        d[:, n * i:n * (i + 1)] += real.eps[(i, j)].values(mids) @ (link.WtUinv @ link.F).T
+    return d
+
+
+def filter_field(M: np.ndarray, z, K_inv, dx, dg) -> np.ndarray:
+    """dz/dt for a stack of states z (S, n + Nn, 1).
+
+    M is the stacked_operator, K_inv the (N, n, n) gain inverses of the
+    stage, and dx (S, n, 1) and dg (S, Nn, 1) the two parts of the stage's
+    disturbance_term.
+    """
+    N, n = K_inv.shape[-3], K_inv.shape[-1]
+    m = M.shape[1]
+    y = np.matmul(M, z)
+    dz = y[:, :m]
+    dz[:, :n] += dx
+    innov = (y[:, m:] + dg).reshape(len(z), N, n, 1)
+    dz[:, n:] += np.matmul(K_inv, innov).reshape(len(z), N * n, 1)
+    return dz
+
+
+def error_inner(net: Network, e, v, eps) -> np.ndarray:
+    """(N, n) bracketed term of the error dynamics, node by node:
+
+        de_i/dt = A e_i - B w - K_i^-1 ((C_i^T R_i^-1 C_i + sum_j W_ij^T U_ij^-1 W_ij) e_i
+                                        - C_i^T R_i^-1 D_i v_i
+                                        - sum_j W_ij^T U_ij^-1 (W_ij e_j + F_ij eps_ij)).
+    """
+    out = np.empty_like(e)
+    for i, node in zip(net.node_ids(), net.nodes):
+        inner = node.CtRinvC @ e[i - 1] - node.CtRinv @ (node.D @ v[i])
+        for j in net.neighbors[i]:
+            link = node.links[j]
+            inner = inner + link.WtUinvW @ e[i - 1]
+            inner = inner - link.WtUinv @ (link.W @ e[j - 1] + link.F @ eps[(i, j)])
+        out[i - 1] = inner
+    return out

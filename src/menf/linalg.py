@@ -8,9 +8,8 @@ matrix with a norm-relative eigenvalue threshold.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularGain
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 # Relative Frobenius tolerance for accepting an input matrix as symmetric.
 SYM_TOL = 1e-10
@@ -75,19 +74,6 @@ def require_psd(x: np.ndarray, name: str) -> np.ndarray:
     if me < -definiteness_threshold(x):
         raise NotPositiveDefinite(name, me)
     return x
-
-
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a via Cholesky.
-
-    Never forms a^-1; raises SingularGain when the factorization fails, which
-    is the caller's signal that a gain matrix left the positive cone.
-    """
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGain(str(exc)) from exc
-    return cho_solve(factor, b, check_finite=False)
 
 
 def block_diag(blocks) -> np.ndarray:

@@ -29,6 +29,7 @@ all derived matrices bit-identically.
 from __future__ import annotations
 
 import hashlib
+import sys
 from importlib import resources
 
 import numpy as np
@@ -82,9 +83,13 @@ def _vector(value, location: str) -> list[float]:
     return [_number(x, location) for x in value]
 
 
-def _number(value, location: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"expected a number, got {value!r}", location)
+def _number(value, location: str, low: float | None = None, strict: bool = False) -> float:
+    """A finite number, optionally >= low (> low when strict)."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise _fail(f"expected a finite number, got {value!r}", location)
+    if low is not None and (value <= low if strict else value < low):
+        raise _fail(f"expected a number {'>' if strict else '>='} {low:g}, got {value!r}", location)
     return float(value)
 
 
@@ -92,6 +97,18 @@ def _integer(value, location: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(f"expected an integer, got {value!r}", location)
     return value
+
+
+def _seed(value, location: str) -> int:
+    if _integer(value, location) < 0:
+        raise _fail(f"expected a non-negative integer, got {value!r}", location)
+    return value
+
+
+def _blocks(value, location: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise _fail("expected a list of blocks", location)
+    return [_matrix(blk, f"{location}[{b}]") for b, blk in enumerate(value)]
 
 
 def _edge(value, location: str) -> tuple[int, int]:
@@ -108,6 +125,11 @@ _TOP_KEYS = ("plant", "nodes", "edges", "links", "sim", "disturbances", "tuning"
 _DIST_KEYS = (
     "kind", "target", "node", "edge", "amplitude", "start", "duration",
     "mean", "std", "hold", "seed",
+)
+# (key, lower bound or None, bound is strict) of a disturbance's numbers
+_DIST_NUMBERS = (
+    ("start", None, False), ("duration", 0.0, False), ("mean", None, False),
+    ("std", 0.0, False), ("hold", 0.0, True),
 )
 
 
@@ -179,9 +201,9 @@ def validate_document(raw, source: str = "<string>") -> dict:
     sim = _check_mapping(
         doc["sim"], ("T", "dt", "seed", "x0_law"), ("T", "dt", "seed", "x0_law"), "sim"
     )
-    _number(sim["T"], "sim.T")
-    _number(sim["dt"], "sim.dt")
-    _integer(sim["seed"], "sim.seed")
+    _number(sim["T"], "sim.T", 0.0, strict=True)
+    _number(sim["dt"], "sim.dt", 0.0, strict=True)
+    _seed(sim["seed"], "sim.seed")
     law = _check_mapping(
         sim["x0_law"], ("kind", "value", "mean", "std", "seed"), ("kind",), "sim.x0_law"
     )
@@ -191,9 +213,11 @@ def validate_document(raw, source: str = "<string>") -> dict:
         _vector(law["value"], "sim.x0_law.value")
     elif law["kind"] == "gaussian":
         _number(law.get("mean", 0.0), "sim.x0_law.mean")
-        _number(law.get("std", 0.0), "sim.x0_law.std")
+        _number(law.get("std", 0.0), "sim.x0_law.std", 0.0)
     else:
         raise _fail(f"unknown x0_law kind {law['kind']!r}", "sim.x0_law.kind")
+    if "seed" in law:
+        _seed(law["seed"], "sim.x0_law.seed")
 
     for k, spec in enumerate(doc.get("disturbances", [])):
         spec = _check_mapping(spec, _DIST_KEYS, ("kind", "target"), f"disturbances[{k}]")
@@ -207,6 +231,18 @@ def validate_document(raw, source: str = "<string>") -> dict:
             raise _fail("target eps needs edge", f"disturbances[{k}]")
         if "edge" in spec:
             _edge(spec["edge"], f"disturbances[{k}].edge")
+        where = f"disturbances[{k}]."
+        if isinstance(spec.get("amplitude"), list):
+            _vector(spec["amplitude"], where + "amplitude")
+        elif "amplitude" in spec:
+            _number(spec["amplitude"], where + "amplitude")
+        for key, low, strict in _DIST_NUMBERS:
+            if key in spec:
+                _number(spec[key], where + key, low, strict)
+        if "node" in spec:
+            _integer(spec["node"], where + "node")
+        if "seed" in spec:
+            _seed(spec["seed"], where + "seed")
 
     if "tuning" in doc:
         tuning = _check_mapping(
@@ -226,17 +262,11 @@ def validate_document(raw, source: str = "<string>") -> dict:
             _matrix(tuning["P"], "tuning.P")
         for key in ("M", "M_inv"):
             if key in tuning:
-                if not isinstance(tuning[key], list) or not tuning[key]:
-                    raise _fail("expected a list of blocks", f"tuning.{key}")
-                for b, blk in enumerate(tuning[key]):
-                    _matrix(blk, f"tuning.{key}[{b}]")
+                _blocks(tuning[key], f"tuning.{key}")
 
     if "gains" in doc:
         gains = _check_mapping(doc["gains"], ("K0",), ("K0",), "gains")
-        if not isinstance(gains["K0"], list) or not gains["K0"]:
-            raise _fail("expected a list of blocks", "gains.K0")
-        for b, blk in enumerate(gains["K0"]):
-            _matrix(blk, f"gains.K0[{b}]")
+        _blocks(gains["K0"], "gains.K0")
 
     return doc
 
@@ -320,9 +350,10 @@ def document_to_scenario(
         if "M_inv" in tuning:
             m_inv_blocks = tuple(np.array(b) for b in tuning["M_inv"])
         elif "M" in tuning:
-            m_inv_blocks = tuple(
-                np.linalg.inv(np.array(b)) for b in tuning["M"]
-            )
+            try:
+                m_inv_blocks = tuple(np.linalg.inv(np.array(b)) for b in tuning["M"])
+            except np.linalg.LinAlgError as exc:
+                raise _fail(f"blocks must be invertible: {exc}", "tuning.M") from exc
         else:
             raise MissingTuning(
                 "scenario document carries no M blocks; run `menf tune` first or "
@@ -483,15 +514,21 @@ def tuning_result_to_document(result: TuningResult) -> dict:
     return {"tuned": doc}
 
 
+_TUNED_KEYS = (
+    "M_inv", "minv_margin", "node_lmi_margins", "closed_loop_abscissas",
+    "mu_profile", "mu_lo_uniform", "decay_floor",
+)
+
+
 def load_tuned_m(path) -> tuple[tuple[np.ndarray, ...], float]:
     """Read back a tuned file: (M^-1 blocks, stacked-condition margin)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = _safe_load(fh.read(), str(path))
-    if not isinstance(raw, dict) or "tuned" not in raw:
-        raise ScenarioFormatError("not a tuned-M file (missing 'tuned' key)", str(path))
-    tuned = raw["tuned"]
-    blocks = tuple(np.array(b, dtype=float) for b in tuned["M_inv"])
-    return blocks, float(tuned["minv_margin"])
+    tuned = _check_mapping(raw, ("tuned",), ("tuned",), str(path))["tuned"]
+    _check_mapping(tuned, _TUNED_KEYS, ("M_inv", "minv_margin"), f"{path}: tuned")
+    blocks = _blocks(tuned["M_inv"], f"{path}: tuned.M_inv")
+    margin = _number(tuned["minv_margin"], f"{path}: tuned.minv_margin")
+    return tuple(np.array(b) for b in blocks), margin
 
 
 def bundled_chua_text() -> str:

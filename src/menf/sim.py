@@ -14,10 +14,11 @@ the gains K_i(t) need no data and so are the same for every seed:
    batched Cholesky then factors all stage gains (its failure is
    SingularGain) and gives each K^-1 = L^-T L^-1.
 2. State pass. The same steps for every seed's z = [x; xhat_1; ...; xhat_N],
-   stacked as (S, m, 1): every stage's innovations are one mat-vec per seed
-   with a constant stacked operator plus a per-step disturbance term, and
-   K^-1 comes from the cached stage inverses. Each seed's bits are those of
-   a run on its own. simulate is the batch of one.
+   stacked as (S, m, 1), through filters.filter_field: every stage's
+   innovations are one mat-vec per seed with a constant stacked operator
+   plus a per-step disturbance term, and K^-1 comes from the cached stage
+   inverses. Each seed's bits are those of a run on its own. simulate is
+   the batch of one.
 
 A chunk holds riccati.CHUNK_BYTES (128 KB) of stage gains: enough to
 amortize the batched calls over tens to hundreds of steps, and small
@@ -57,6 +58,7 @@ from .errors import (
     NonFinite,
     SingularGain,
 )
+from .filters import disturbance_term, error_inner, filter_field, stacked_operator
 from .linalg import definiteness_threshold, require_psd
 from .model import Network, NeighborLink, NodeModel, PlantModel, build_network
 from .riccati import RiccatiCoefficients, chunk_steps, gain_pass, riccati_rhs
@@ -247,6 +249,15 @@ class Scenario:
         if steps < 1 or abs(self.T - steps * self.dt) > GRID_TOL * max(1.0, self.T):
             raise DimensionMismatch("T must be an integral number of dt steps")
         self.disturbances = tuple(self.disturbances)
+        N, n = self.network.N, self.network.n
+        for name, blocks in (("M_inv", self.m_inv_blocks), ("K0", self.K0_blocks)):
+            if blocks is not None and (
+                len(blocks) != N or any(np.shape(b) != (n, n) for b in blocks)
+            ):
+                raise DimensionMismatch(
+                    f"{name} must be {N} blocks of shape {(n, n)}, got shapes "
+                    f"{[np.shape(b) for b in blocks]}"
+                )
 
     @property
     def steps(self) -> int:
@@ -430,19 +441,6 @@ DISTURBANCE_BYTES = 256 * 1024
 _STAGE_OFFSETS = (0.0, 0.5, 0.5, 1.0)
 
 
-def _error_inner(net: Network, e, v, eps) -> np.ndarray:
-    """(N, n) bracketed term of the error dynamics at one stage."""
-    out = np.empty_like(e)
-    for i, node in zip(net.node_ids(), net.nodes):
-        inner = node.CtRinvC @ e[i - 1] - node.CtRinv @ (node.D @ v[i])
-        for j in net.neighbors[i]:
-            link = node.links[j]
-            inner = inner + link.WtUinvW @ e[i - 1]
-            inner = inner - link.WtUinv @ (link.W @ e[j - 1] + link.F @ eps[(i, j)])
-        out[i - 1] = inner
-    return out
-
-
 def _spd_solve_batched(K: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
     """Solve K_i z_i = rhs_i for all nodes via batched Cholesky."""
     try:
@@ -459,50 +457,6 @@ def _check_gains(K: np.ndarray, t: float) -> float:
     if not (min_eigs > definiteness_threshold(K)).all():
         raise LostPositivity(t, float(min_eigs.min()))
     return float(min_eigs.min())
-
-
-def _stacked_operator(net: Network) -> np.ndarray:
-    """Constant ((n + 2Nn) x (n + Nn)) operator on z = [x; xhat_1; ...; xhat_N].
-
-    Its rows give A x, then A xhat_i for every node, then the innovations
-    H z without their disturbance term: block row i of H holds C_i^T R_i^-1 C_i
-    on x, -(C_i^T R_i^-1 C_i + sum_j W_ij^T U_ij^-1 W_ij) on xhat_i and
-    W_ij^T U_ij^-1 W_ij on xhat_j for each edge (i, j), where j sends to i.
-    """
-    n, N = net.n, net.N
-    m = n + N * n
-    M = np.zeros((m + N * n, m))
-    M[:m, :m] = np.kron(np.eye(N + 1), net.plant.A)
-    for i in net.node_ids():
-        node = net.node(i)
-        rows = slice(m + n * (i - 1), m + n * i)
-        M[rows, :n] = node.CtRinvC
-        M[rows, n * i:n * (i + 1)] = -(node.CtRinvC + net.delta_block(i))
-        for j in net.neighbors[i]:
-            M[rows, n * j:n * (j + 1)] = net.link(i, j).WtUinvW
-    return M
-
-
-def _disturbance_term(
-    net: Network, real: RealizedDisturbances, mids: np.ndarray
-) -> np.ndarray:
-    """(len(mids), n + Nn) inputs [B w_k; g_k] on the panel values at the step
-    midpoints mids, with
-    g_k,i = C_i^T R_i^-1 D_i v_i + sum_j W_ij^T U_ij^-1 F_ij eps_ij.
-
-    One channel is evaluated at a time, so no more than one channel's
-    panel values are held at once.
-    """
-    n = net.n
-    d = np.zeros((len(mids), n + net.N * n))
-    d[:, :n] = real.w.values(mids) @ net.plant.B.T
-    for i in net.node_ids():
-        node = net.node(i)
-        d[:, n * i:n * (i + 1)] += real.v[i].values(mids) @ (node.CtRinv @ node.D).T
-    for (i, j) in net.edges:
-        link = net.link(i, j)
-        d[:, n * i:n * (i + 1)] += real.eps[(i, j)].values(mids) @ (link.WtUinv @ link.F).T
-    return d
 
 
 def _inverses(stages: np.ndarray) -> np.ndarray:
@@ -580,7 +534,7 @@ def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
     Ks[:, 0] = K0
     min_gain_eig = _check_gains(K0, 0.0)
 
-    M = _stacked_operator(net)
+    M = stacked_operator(net)
     zs = np.empty((len(scenarios), steps + 1, m))
     zs[:, 0, :n] = [real.x0 for real in reals]
     zs[:, 0, n:] = np.concatenate([node.xi for node in net.nodes])
@@ -589,14 +543,6 @@ def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
     live = len(scenarios)
     history = zs[..., None]
     failed = None
-
-    def rhs(zc, K_inv, dx, dg):
-        y = np.matmul(M, zc)
-        dz = y[:, :m]
-        dz[:, :n] += dx
-        innov = (y[:, m:] + dg).reshape(len(zc), N, n, 1)
-        dz[:, n:] += np.matmul(K_inv, innov).reshape(len(zc), N * n, 1)
-        return dz
 
     h2, h6 = 0.5 * dt, dt / 6.0
     chunk = chunk_steps(K0.shape)
@@ -624,16 +570,16 @@ def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
             mids = _midpoints(d_start, d_end, dt)
             d = np.empty((d_end - d_start, live, m, 1))
             for d_s, real in zip(np.moveaxis(d, 1, 0), reals):
-                d_s[:, :, 0] = _disturbance_term(net, real, mids)
+                d_s[:, :, 0] = disturbance_term(net, real, mids)
             dxs, dgs = d[:, :, :n], d[:, :, n:]
         for c in range(end):
             k = k0 + c
             dx, dg = dxs[k - d_start], dgs[k - d_start]
             s = 4 * c
-            dz1 = rhs(z, K_inv[s], dx, dg)
-            dz2 = rhs(z + h2 * dz1, K_inv[s + 1], dx, dg)
-            dz3 = rhs(z + h2 * dz2, K_inv[s + 2], dx, dg)
-            dz4 = rhs(z + dt * dz3, K_inv[s + 3], dx, dg)
+            dz1 = filter_field(M, z, K_inv[s], dx, dg)
+            dz2 = filter_field(M, z + h2 * dz1, K_inv[s + 1], dx, dg)
+            dz3 = filter_field(M, z + h2 * dz2, K_inv[s + 2], dx, dg)
+            dz4 = filter_field(M, z + dt * dz3, K_inv[s + 3], dx, dg)
             z = z + h6 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
             history[:, k + 1] = z
             if not np.isfinite(z).all():
@@ -707,7 +653,7 @@ def simulate_error_oracle(
         Bw = B @ w_panels[k]
 
         def rhs(ec, Kc, stage_t):
-            inner = _error_inner(net, ec, v, eps)
+            inner = error_inner(net, ec, v, eps)
             corr = _spd_solve_batched(Kc, inner, stage_t)
             de = ec @ A.T - Bw[None, :] - corr
             dK = riccati_rhs(Kc, coeffs)

@@ -308,3 +308,103 @@ def test_reproduce_chua_seed_matches_simulate(tmp_path):
     assert len(names) == 30
     for name in names:
         assert (repro / "seed_1" / name).read_bytes() == (single / name).read_bytes(), name
+
+
+ONE_NODE = """
+plant: {A: [[-1.0]], B: [[1.0]]}
+nodes:
+  - {C: [[1.0]], D: [[0.5]], xi: [0.0], Xcal: [[1.0]]}
+edges: []
+sim:
+  T: 0.01
+  dt: 0.001
+  seed: 0
+  x0_law: {kind: gaussian, mean: 0.0, std: 1.0, seed: 1}
+disturbances:
+  - {kind: pulse, target: w, amplitude: 1.0, start: 0.0, duration: 0.005}
+  - {kind: held_gaussian, target: v, node: 1, mean: 0.0, std: 0.1, hold: 0.002, seed: 2}
+tuning: {M_inv: [[[0.01]]]}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, args, where",
+    [
+        pytest.param("dt: 0.001", "dt: .nan", [], "sim.dt", id="dt-nan"),
+        pytest.param("T: 0.01", "T: .inf", [], "sim.T", id="T-inf"),
+        pytest.param("A: [[-1.0]]", "A: [[.inf]]", [], "plant.A", id="A-inf"),
+        pytest.param("seed: 0", "seed: -3", [], "sim.seed", id="seed-negative"),
+        pytest.param("std: 1.0,", "std: -1.0,", [], "sim.x0_law.std", id="x0-std-negative"),
+        pytest.param("seed: 1}", "seed: -1}", [], "sim.x0_law.seed", id="x0-seed-negative"),
+        pytest.param(
+            "amplitude: 1.0", "amplitude: foo", [], "disturbances[0].amplitude",
+            id="amplitude-text",
+        ),
+        pytest.param("start: 0.0", "start: soon", [], "disturbances[0].start", id="start-text"),
+        pytest.param(
+            "duration: 0.005", "duration: -0.05", [], "disturbances[0].duration",
+            id="duration-negative",
+        ),
+        pytest.param("node: 1", "node: one", [], "disturbances[1].node", id="node-text"),
+        pytest.param(
+            "mean: 0.0, std: 0.1", "mean: x, std: 0.1", [], "disturbances[1].mean",
+            id="mean-text",
+        ),
+        pytest.param("std: 0.1", "std: -0.1", [], "disturbances[1].std", id="held-std-negative"),
+        pytest.param("hold: 0.002", "hold: 0", [], "disturbances[1].hold", id="hold-zero"),
+        pytest.param("seed: 2}", "seed: -2}", [], "disturbances[1].seed", id="noise-seed-negative"),
+        pytest.param("[[[0.01]]]", "[[[0.01]], [[0.01]]]", [], "M_inv", id="M_inv-extra-block"),
+        pytest.param(
+            "[[[0.01]]]", "[[[0.01, 0.0], [0.0, 0.01]]]", [], "M_inv", id="M_inv-block-shape"
+        ),
+        pytest.param("{M_inv: [[[0.01]]]}", "{M: [[[0.0]]]}", [], "tuning.M", id="M-singular"),
+        pytest.param(
+            "tuning:", "gains: {K0: [[[1.0]], [[1.0]]]}\ntuning:", [], "K0", id="K0-extra-block"
+        ),
+        pytest.param(None, None, ["--dt", "nan"], "sim.dt", id="dt-override-nan"),
+        pytest.param(None, None, ["--seed", "-1"], "sim.seed", id="seed-override-negative"),
+        pytest.param(
+            None, None, ["--tuned", "tuned: {minv_margin: 0.5}\n"], "tuned.yaml",
+            id="tuned-without-M_inv",
+        ),
+        pytest.param(
+            None, None, ["--tuned", "tuned: {M_inv: [], minv_margin: 0.5}\n"], "tuned.yaml",
+            id="tuned-empty-M_inv",
+        ),
+        pytest.param(
+            None, None, ["manifest.yaml", lambda text: "scenario: [[1\n"], "manifest.yaml:",
+            id="manifest-malformed",
+        ),
+        pytest.param(
+            None, None, ["manifest.yaml", lambda text: text.replace("m_inv:", "M:")],
+            "manifest.yaml", id="manifest-without-m_inv",
+        ),
+        pytest.param(
+            None, None,
+            ["manifest.yaml", lambda text: text.replace("gains_positive_definite", "gains_pd")],
+            "manifest.yaml: hypotheses", id="manifest-unknown-hypothesis",
+        ),
+    ],
+)
+def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, old, new, args, where):
+    """Every malformed input exits 1 naming its key path or file, with no
+    traceback, before it reaches the integrator."""
+    text = ONE_NODE if old is None else ONE_NODE.replace(old, new, 1)
+    assert text != ONE_NODE or old is None
+    scen = write_small(tmp_path, text)
+    out = tmp_path / "run"
+    if args and args[0] == "--tuned":
+        (tmp_path / "tuned.yaml").write_text(args[1], encoding="utf-8")
+        args = ["--tuned", str(tmp_path / "tuned.yaml")]
+    if args and args[0] == "manifest.yaml":
+        assert main(["simulate", str(scen), "--out", str(out)]) == 0
+        manifest = out / "manifest.yaml"
+        manifest.write_text(args[1](manifest.read_text(encoding="utf-8")), encoding="utf-8")
+        argv = ["verify", str(out)]
+    else:
+        argv = ["simulate", str(scen), "--out", str(out), *args]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err

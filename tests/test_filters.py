@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from menf import (
-    MissingNeighborSignal,
-    SingularGain,
-    error_rhs,
-    filter_rhs,
-    plant_rhs,
-)
+from menf import DisturbanceSpec, Scenario, SingularGain, X0Law, realize_disturbances
+from menf.filters import disturbance_term, error_inner, filter_field, stacked_operator
+from menf.sim import _inverses, _spd_solve_batched, _stage_inverses
 
 from conftest import make_single_node_network, make_two_node_network
+
+# Bound on the engine's field against a reference, relative to the size of
+# the terms it sums, as engine_field returns it: about 45 ulp.
+REL_TOL = 1e-14
 
 
 def elementwise_filter_oracle(plant, node, neighbors, K, xhat, y, c):
@@ -31,80 +31,117 @@ def elementwise_filter_oracle(plant, node, neighbors, K, xhat, y, c):
     return out
 
 
+def engine_field(net, x, xhat, K, w=None, v=None, eps=None):
+    """The engine's field at one state, with the disturbances as panel values
+    realized from pulses: (dz/dt, the size of the terms it sums). Missing
+    disturbances are zero."""
+    dt = 1e-3
+    pulse = dict(kind="pulse", duration=dt)
+    specs = [] if w is None else [DisturbanceSpec(target="w", amplitude=w, **pulse)]
+    specs += [
+        DisturbanceSpec(target="v", node=i, amplitude=a, **pulse) for i, a in (v or {}).items()
+    ]
+    specs += [
+        DisturbanceSpec(target="eps", edge=e, amplitude=a, **pulse) for e, a in (eps or {}).items()
+    ]
+    scenario = Scenario(
+        network=net, T=dt, dt=dt, seed=0,
+        x0_law=X0Law(kind="fixed", value=x), disturbances=tuple(specs),
+    )
+    d = disturbance_term(net, realize_disturbances(scenario), np.array([0.5 * dt]))[0]
+    n = net.n
+    z = np.concatenate([x] + [xhat[i] for i in net.node_ids()])
+    K_inv = _inverses(np.stack([K[i] for i in net.node_ids()]))
+    M = stacked_operator(net)
+    dz = filter_field(M, z[None, :, None], K_inv, d[None, :n, None], d[None, n:, None])
+    # |A| |z| + |B w|, then per node |K^-1| (|H| |z| + |g|)
+    m = len(z)
+    size = np.abs(M) @ np.abs(z)
+    size[:n] += np.abs(d[:n])
+    size[m:] += np.abs(d[n:])
+    inner = size[m:].reshape(net.N, n, 1)
+    size[n:m] += np.matmul(np.abs(K_inv), inner).reshape(-1)
+    return dz[0, :, 0], size[:m]
+
+
+def split(net, dz):
+    n = net.n
+    return dz[:n], {i: dz[n * i:n * (i + 1)] for i in net.node_ids()}
+
+
 def test_zero_innovation_reduces_to_plant_drift(chua_net):
+    # every estimate equal to x, no disturbance: the innovations cancel
     rng = np.random.default_rng(0)
     x = rng.standard_normal(3)
-    for i in chua_net.node_ids():
-        node = chua_net.node(i)
-        y = node.C @ x
-        c = {j: chua_net.link(i, j).W @ x for j in chua_net.neighbors[i]}
-        out = filter_rhs(
-            chua_net.plant, node, i, chua_net.neighbors[i], np.eye(3), x, y, c
-        )
-        np.testing.assert_allclose(out, chua_net.plant.A @ x, atol=1e-12)
+    ids = chua_net.node_ids()
+    dz, size = engine_field(chua_net, x, {i: x for i in ids}, {i: np.eye(3) for i in ids})
+    drift = np.tile(chua_net.plant.A @ x, chua_net.N + 1)
+    assert np.all(np.abs(dz - drift) <= REL_TOL * size)
 
 
 def test_identity_gain_observer():
-    # no neighbors, C=I, R=I, K=I, A=0: rhs = y - xhat
+    # no neighbors, C=I, R=I, K=I, A=0: dxhat/dt = y - xhat with y = x
     net = make_single_node_network(a=0.0, b=1.0, c=1.0, d=1.0)
-    xhat = np.array([0.7])
-    y = np.array([1.5])
-    out = filter_rhs(net.plant, net.node(1), 1, (), np.eye(1), xhat, y, {})
-    assert out[0] == pytest.approx(0.8, abs=1e-15)
+    dz, _ = engine_field(net, np.array([1.5]), {1: np.array([0.7])}, {1: np.eye(1)})
+    assert dz[0] == 0.0
+    assert dz[1] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_filter_rhs_matches_elementwise_oracle(chua_net):
     rng = np.random.default_rng(5)
-    for i in (3, 1):
+    ids = chua_net.node_ids()
+    x = rng.standard_normal(3)
+    xhat = {i: rng.standard_normal(3) for i in ids}
+    K = {i: np.eye(3) * 2.0 + 0.3 * np.ones((3, 3)) for i in ids}
+    w = rng.standard_normal(chua_net.plant.q)
+    v = {i: rng.standard_normal(chua_net.node(i).p) for i in ids}
+    eps = {e: rng.standard_normal(chua_net.link(*e).m) for e in chua_net.edges}
+    dz, size = engine_field(chua_net, x, xhat, K, w, v, eps)
+    (dx, dxhat), (_, size_hat) = split(chua_net, dz), split(chua_net, size)
+    np.testing.assert_allclose(
+        dx, chua_net.plant.A @ x + chua_net.plant.B @ w, rtol=0, atol=1e-15
+    )
+    for i in ids:
         node = chua_net.node(i)
-        K = np.eye(3) * 2.0 + 0.3 * np.ones((3, 3))
-        xhat = rng.standard_normal(3)
-        y = rng.standard_normal(node.p)
-        c = {j: rng.standard_normal(chua_net.link(i, j).m) for j in chua_net.neighbors[i]}
-        out = filter_rhs(chua_net.plant, node, i, chua_net.neighbors[i], K, xhat, y, c)
+        y = node.C @ x + node.D @ v[i]
+        c = {
+            j: chua_net.link(i, j).W @ xhat[j] + chua_net.link(i, j).F @ eps[(i, j)]
+            for j in chua_net.neighbors[i]
+        }
         oracle = elementwise_filter_oracle(
-            chua_net.plant, node, chua_net.neighbors[i], K, xhat, y, c
+            chua_net.plant, node, chua_net.neighbors[i], K[i], xhat[i], y, c
         )
-        np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12)
+        assert np.all(np.abs(dxhat[i] - oracle) <= REL_TOL * size_hat[i]), i
 
 
 def test_error_rhs_zero_at_equilibrium(chua_net):
-    for i in chua_net.node_ids():
-        nbrs = chua_net.neighbors[i]
-        out = error_rhs(
-            chua_net.plant,
-            chua_net.node(i),
-            i,
-            nbrs,
-            np.eye(3),
-            np.zeros(3),
-            {j: np.zeros(3) for j in nbrs},
-            np.zeros(3),
-            np.zeros(chua_net.node(i).p),
-            {j: np.zeros(chua_net.link(i, j).m) for j in nbrs},
-        )
-        np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
+    ids = chua_net.node_ids()
+    inner = error_inner(
+        chua_net,
+        np.zeros((chua_net.N, 3)),
+        {i: np.zeros(chua_net.node(i).p) for i in ids},
+        {e: np.zeros(chua_net.link(*e).m) for e in chua_net.edges},
+    )
+    assert np.array_equal(inner, np.zeros((chua_net.N, 3)))
+    zero = np.zeros(3)
+    dz, _ = engine_field(chua_net, zero, {i: zero for i in ids}, {i: np.eye(3) for i in ids})
+    assert np.array_equal(dz, np.zeros(3 * (chua_net.N + 1)))
 
 
 def test_error_rhs_isolates_model_disturbance(chua_net):
+    # e = 0, v = 0, eps = 0: every node's error moves by -B w
     w = np.array([0.4, -0.2, 1.1])
-    out = error_rhs(
-        chua_net.plant,
-        chua_net.node(5),
-        5,
-        (4,),
-        np.eye(3),
-        np.zeros(3),
-        {4: np.zeros(3)},
-        w,
-        np.zeros(1),
-        {4: np.zeros(3)},
-    )
-    np.testing.assert_allclose(out, -chua_net.plant.B @ w, atol=1e-15)
+    ids = chua_net.node_ids()
+    zero = np.zeros(3)
+    dz, _ = engine_field(chua_net, zero, {i: zero for i in ids}, {i: np.eye(3) for i in ids}, w)
+    dx, dxhat = split(chua_net, dz)
+    for i in ids:
+        np.testing.assert_allclose(dxhat[i] - dx, -chua_net.plant.B @ w, atol=1e-15)
 
 
 def test_filter_minus_plant_equals_error_dynamics():
-    # randomized identity between the three vector fields
+    # randomized identity between the engine's field and the oracle's
+    # error dynamics
     net = make_two_node_network(n=3, seed=9)
     rng = np.random.default_rng(42)
     for trial in range(25):
@@ -117,77 +154,36 @@ def test_filter_minus_plant_equals_error_dynamics():
             G = rng.standard_normal((3, 3))
             K[i] = G @ G.T + 2.0 * np.eye(3)
         eps = {(1, 2): rng.standard_normal(net.link(1, 2).m)}
-        # signals generated per the measurement/communication models
+        dx, dxhat = split(net, engine_field(net, x, xhat, K, w, v, eps)[0])
+        e = np.stack([xhat[i] - x for i in (1, 2)])
+        inner = error_inner(net, e, v, eps)
         for i in (1, 2):
-            node = net.node(i)
-            nbrs = net.neighbors[i]
-            y = node.C @ x + node.D @ v[i]
-            c = {
-                j: net.link(i, j).W @ xhat[j] + net.link(i, j).F @ eps[(i, j)]
-                for j in nbrs
-            }
-            lhs = filter_rhs(net.plant, node, i, nbrs, K[i], xhat[i], y, c) - plant_rhs(
-                net.plant, x, w
-            )
-            rhs = error_rhs(
-                net.plant,
-                node,
-                i,
-                nbrs,
-                K[i],
-                xhat[i] - x,
-                {j: xhat[j] - x for j in nbrs},
-                w,
-                v[i],
-                {j: eps[(i, j)] for j in nbrs},
-            )
-            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)
+            de = net.plant.A @ e[i - 1] - net.plant.B @ w - np.linalg.solve(K[i], inner[i - 1])
+            np.testing.assert_allclose(dxhat[i] - dx, de, rtol=0, atol=1e-9)
 
 
-def test_gain_application_is_solve_based(chua_net):
-    # agreement with the explicit-inverse reference on a well-conditioned K
+def test_gain_application_is_solve_based():
+    # the oracle's Cholesky solves and the engine's cached L^-T L^-1 both
+    # agree with the explicit-inverse reference on well-conditioned gains
     rng = np.random.default_rng(8)
-    node = chua_net.node(2)
-    K = np.diag([2.0, 3.0, 5.0])
-    xhat = rng.standard_normal(3)
-    y = rng.standard_normal(1)
-    c = {3: rng.standard_normal(3)}
-    out = filter_rhs(chua_net.plant, node, 2, (3,), K, xhat, y, c)
-    oracle = elementwise_filter_oracle(chua_net.plant, node, (3,), K, xhat, y, c)
-    np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12)
+    K = np.stack([np.diag([2.0, 3.0, 5.0]), np.eye(3) * 2.0 + 0.3 * np.ones((3, 3))])
+    rhs = rng.standard_normal((2, 3))
+    reference = np.stack([np.linalg.inv(K[i]) @ rhs[i] for i in range(2)])
+    np.testing.assert_allclose(_spd_solve_batched(K, rhs, 0.0), reference, rtol=0, atol=1e-12)
+    engine = np.matmul(_inverses(K), rhs[:, :, None])[:, :, 0]
+    np.testing.assert_allclose(engine, reference, rtol=0, atol=1e-12)
 
 
-def test_missing_neighbor_signal(chua_net):
-    node = chua_net.node(3)
-    with pytest.raises(MissingNeighborSignal) as exc:
-        filter_rhs(
-            chua_net.plant,
-            node,
-            3,
-            chua_net.neighbors[3],
-            np.eye(3),
-            np.zeros(3),
-            np.zeros(1),
-            {1: np.zeros(3), 2: np.zeros(3)},  # neighbor 4 missing
-        )
-    assert exc.value.neighbor_id == 4
-    with pytest.raises(ValueError):
-        filter_rhs(
-            chua_net.plant,
-            chua_net.node(5),
-            5,
-            (4,),
-            np.eye(3),
-            np.zeros(3),
-            np.zeros(1),
-            {4: np.zeros(3), 2: np.zeros(3)},  # 2 is not a neighbor of 5
-        )
-
-
-def test_singular_gain_detected(chua_net):
-    node = chua_net.node(5)
+def test_singular_gain_detected():
     K_bad = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(SingularGain):
-        filter_rhs(
-            chua_net.plant, node, 5, (4,), K_bad, np.zeros(3), np.zeros(1), {4: np.zeros(3)}
-        )
+        _spd_solve_batched(np.stack([np.eye(3), K_bad]), np.zeros((2, 3)), 0.0)
+    # three steps of two nodes' stage gains; node 2 fails at the midpoint
+    # stage of the second step
+    stages = np.tile(np.eye(3), (3, 4, 2, 1, 1))
+    stages[1, 2, 1] = K_bad
+    inverses, (step, stage, error) = _stage_inverses(stages, 10, 1e-3)
+    assert (step, stage) == (1, 2)
+    assert len(inverses) == 4 + 2
+    assert isinstance(error, SingularGain)
+    assert "at t=0.0115:" in str(error)
