@@ -51,8 +51,6 @@ from .sim import (
     Scenario,
     Trajectories,
     X0Law,
-    chua_network,
-    make_chua_scenario,
     make_isolated_variant,
     realize_disturbances,
     simulate,
@@ -120,14 +118,12 @@ __all__ = [
     "build_network",
     "check_hinf",
     "check_minv",
-    "chua_network",
     "consensus_cost",
     "energy_cost",
     "integrate_global_riccati",
     "integrate_riccati",
     "laplacian_P",
     "lhs_cost",
-    "make_chua_scenario",
     "make_isolated_variant",
     "node_feasible",
     "realize_disturbances",

@@ -36,7 +36,6 @@ from .scenario_io import (
     _safe_load,
     bundled_chua_text,
     document_hash,
-    document_to_network,
     document_to_scenario,
     dump_document,
     load_document,
@@ -128,11 +127,12 @@ def _read_csv(path: Path, width: int) -> np.ndarray:
 
 def _cmd_tune(args) -> int:
     doc = load_document(args.scenario)
-    net = document_to_network(doc)
     if not {"P", "P0"} & set(doc.get("tuning", {})):
         raise ScenarioFormatError(
             "`tune` needs a tuning section with P or P0", args.scenario
         )
+    # The whole scenario, so that tune rejects what simulate rejects.
+    net = document_to_scenario(doc).network
     P = tuning_P_from_document(doc, net)
     result = tune_scalar(net, P)
     out = Path(args.out)
@@ -161,17 +161,6 @@ def _apply_overrides(doc: dict, args) -> dict:
     if getattr(args, "dt", None) is not None:
         doc["sim"]["dt"] = float(args.dt)
     return validate_document(doc, source=args.scenario)
-
-
-def _resolve_m(doc: dict, args):
-    if getattr(args, "tuned", None):
-        return load_tuned_m(args.tuned)
-    tuning = doc.get("tuning", {})
-    if "M_inv" in tuning or "M" in tuning:
-        return None, None  # document_to_scenario reads them itself
-    raise MissingTuning(
-        "no tuned M available: give --tuned FILE or put M/M_inv in the scenario"
-    )
 
 
 def _export_run(outdir: Path, doc: dict, scenario, traj: Trajectories) -> None:
@@ -237,7 +226,9 @@ def _export_run(outdir: Path, doc: dict, scenario, traj: Trajectories) -> None:
 
 def _cmd_simulate(args) -> int:
     doc = _apply_overrides(load_document(args.scenario), args)
-    m_inv, margin = _resolve_m(doc, args)
+    # Without --tuned, document_to_scenario reads M or M_inv from the
+    # document, and simulate raises MissingTuning when it has neither.
+    m_inv, margin = load_tuned_m(args.tuned) if args.tuned else (None, None)
     scenario = document_to_scenario(doc, m_inv_blocks=m_inv, minv_margin=margin)
     traj = simulate(scenario)
     _export_run(Path(args.out), doc, scenario, traj)
@@ -428,7 +419,8 @@ def _cmd_reproduce_chua(args) -> int:
     scenario_text = bundled_chua_text()
     (out / "chua.scenario").write_text(scenario_text, encoding="utf-8")
     doc = parse_document(scenario_text, source="chua.scenario")
-    net = document_to_network(doc)
+    scenario = document_to_scenario(doc)
+    net = scenario.network
     P = tuning_P_from_document(doc, net)
     result = tune_scalar(net, P)
     (out / "tuned.yaml").write_text(
@@ -448,8 +440,8 @@ def _cmd_reproduce_chua(args) -> int:
         "isolated_node1_max_inf",
         "isolation_ratio",
     ]
-    scenario = document_to_scenario(
-        doc, m_inv_blocks=result.m_inv_blocks, minv_margin=result.minv_margin
+    scenario = replace(
+        scenario, m_inv_blocks=result.m_inv_blocks, minv_margin=result.minv_margin
     )
     seeds = range(args.seeds)
     # One batch per variant, so one gain pass each; a batch's runs are

@@ -8,7 +8,18 @@ from __future__ import annotations
 
 
 class MenfError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    key, when set, is the scenario key path of the value a construction
+    check rejected (e.g. "sim.x0_law", "disturbances[2]", "nodes[1].C"), for
+    checks that span several parts of a network or scenario.
+    """
+
+    key: str | None = None
+
+    def at(self, key: str) -> "MenfError":
+        self.key = key
+        return self
 
 
 class DimensionMismatch(MenfError):

@@ -108,7 +108,8 @@ class NodeModel:
     """Per-node sensing (C, D), initialization prior (xi, Xcal) and links.
 
     links maps 1-based neighbor id -> NeighborLink; build_network checks the
-    key set against the edge set. R = D D^T must be positive definite.
+    key set against the edge set, and C's columns and Xcal against the
+    plant's state dimension. R = D D^T must be positive definite.
     """
 
     C: np.ndarray
@@ -131,10 +132,10 @@ class NodeModel:
         self.R = require_spd(self.D @ self.D.T, "R = D D^T")
         self.xi = as_vector(self.xi, "xi")
         self.Xcal = require_spd(self.Xcal, "Xcal")
-        n = self.C.shape[1]
-        if self.xi.shape != (n,) or self.Xcal.shape != (n, n):
+        if self.xi.shape != self.Xcal.shape[:1]:
             raise DimensionMismatch(
-                f"xi/Xcal must have dimension {n} to match C's column count"
+                f"xi must have dimension {self.Xcal.shape[0]} to match Xcal, "
+                f"got {self.xi.shape}"
             )
         self.CtRinv = np.linalg.solve(self.R, self.C).T
         self.CtRinvC = symmetrize(self.CtRinv @ self.C)
@@ -214,7 +215,9 @@ def build_network(plant: PlantModel, nodes, edges) -> Network:
 
     Raises SelfLoop, DimensionMismatch or NotPositiveDefinite (definiteness is
     already enforced by the model constructors; this adds the cross checks
-    that need the full network: column counts against n, edge/link agreement).
+    that need the full network: dimensions against n, edge/link agreement).
+    A node's dimension error carries the key path of the node's C or Xcal,
+    a W error the key "links".
     """
     nodes = tuple(nodes)
     n = plant.n
@@ -233,7 +236,11 @@ def build_network(plant: PlantModel, nodes, edges) -> Network:
         if node.C.shape[1] != n:
             raise DimensionMismatch(
                 f"C_{idx} must have {n} columns, got {node.C.shape}"
-            )
+            ).at(f"nodes[{idx}].C")
+        if node.Xcal.shape != (n, n):
+            raise DimensionMismatch(
+                f"Xcal_{idx} must be {n}x{n}, got {node.Xcal.shape}"
+            ).at(f"nodes[{idx}].Xcal")
         expected = {j for (i, j) in edge_set if i == idx}
         if set(node.links) != expected:
             raise DimensionMismatch(
@@ -244,7 +251,7 @@ def build_network(plant: PlantModel, nodes, edges) -> Network:
             if link.W.shape[1] != n:
                 raise DimensionMismatch(
                     f"W_{idx}{j} must have {n} columns, got {link.W.shape}"
-                )
+                ).at("links")
     return Network(plant=plant, nodes=nodes, edges=tuple(edge_set))
 
 

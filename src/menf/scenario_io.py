@@ -20,10 +20,16 @@ One human-writable document describes a complete experiment:
       | {M: [block, ...]} | {M_inv: [block, ...]}
     gains:    {K0: [block, ...]}             # optional, defaults to Xcal
 
-Unknown keys are rejected everywhere with the offending path, matrices must
-be rectangular, and floats round-trip exactly through the canonical dump
-(shortest-repr YAML floats), so reloading a re-serialized scenario rebuilds
-all derived matrices bit-identically.
+validate_document checks the document's shape: unknown keys are rejected
+everywhere with the offending path, matrices must be rectangular, numbers
+finite (and non-negative or positive where a sign makes no sense), seeds
+integers, and the tuning section names one mode. Every rule about what the
+values mean lives in the model constructor that consumes them;
+document_to_network and document_to_scenario build each object through
+_build, which reports a failed rule at the object's key path. Floats
+round-trip exactly through the canonical dump (shortest-repr YAML floats),
+so reloading a re-serialized scenario rebuilds all derived matrices
+bit-identically.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .errors import DimensionMismatch, MissingTuning, ScenarioFormatError
+from .errors import DimensionMismatch, NotPositiveDefinite, ScenarioFormatError, SelfLoop
 from .model import Network, NeighborLink, NodeModel, PlantModel, build_network
 from .sim import DisturbanceSpec, Scenario, X0Law
 from .tuning import TuningResult, laplacian_P
@@ -191,7 +197,11 @@ def validate_document(raw, source: str = "<string>") -> dict:
             ov = _check_mapping(
                 ov, ("edge", "W", "F", "Z"), ("edge",), f"links.overrides[{k}]"
             )
-            _edge(ov["edge"], f"links.overrides[{k}].edge")
+            edge = _edge(ov["edge"], f"links.overrides[{k}].edge")
+            if edge not in {tuple(e) for e in doc["edges"]}:
+                raise _fail(
+                    f"edge {list(edge)} is not in edges", f"links.overrides[{k}].edge"
+                )
             for key in ("W", "F", "Z"):
                 if key in ov:
                     _matrix(ov[key], f"links.overrides[{k}].{key}")
@@ -207,28 +217,15 @@ def validate_document(raw, source: str = "<string>") -> dict:
     law = _check_mapping(
         sim["x0_law"], ("kind", "value", "mean", "std", "seed"), ("kind",), "sim.x0_law"
     )
-    if law["kind"] == "fixed":
-        if "value" not in law:
-            raise _fail("fixed x0_law needs a value", "sim.x0_law")
+    if "value" in law:
         _vector(law["value"], "sim.x0_law.value")
-    elif law["kind"] == "gaussian":
-        _number(law.get("mean", 0.0), "sim.x0_law.mean")
-        _number(law.get("std", 0.0), "sim.x0_law.std", 0.0)
-    else:
-        raise _fail(f"unknown x0_law kind {law['kind']!r}", "sim.x0_law.kind")
+    _number(law.get("mean", 0.0), "sim.x0_law.mean")
+    _number(law.get("std", 0.0), "sim.x0_law.std", 0.0)
     if "seed" in law:
         _seed(law["seed"], "sim.x0_law.seed")
 
     for k, spec in enumerate(doc.get("disturbances", [])):
         spec = _check_mapping(spec, _DIST_KEYS, ("kind", "target"), f"disturbances[{k}]")
-        if spec["kind"] not in ("zero", "pulse", "held_gaussian"):
-            raise _fail(f"unknown kind {spec['kind']!r}", f"disturbances[{k}].kind")
-        if spec["target"] not in ("w", "v", "eps"):
-            raise _fail(f"unknown target {spec['target']!r}", f"disturbances[{k}].target")
-        if spec["target"] == "v" and "node" not in spec:
-            raise _fail("target v needs node", f"disturbances[{k}]")
-        if spec["target"] == "eps" and "edge" not in spec:
-            raise _fail("target eps needs edge", f"disturbances[{k}]")
         if "edge" in spec:
             _edge(spec["edge"], f"disturbances[{k}].edge")
         where = f"disturbances[{k}]."
@@ -280,17 +277,31 @@ def load_document(path) -> dict:
 # Document -> model objects
 # ---------------------------------------------------------------------------
 
+_MODEL_ERRORS = (DimensionMismatch, NotPositiveDefinite, SelfLoop)
+
+
+def _build(where: str, make, **kwargs):
+    """make(**kwargs), with a failed model check re-raised as a
+    ScenarioFormatError at the key path the error carries, else at where."""
+    try:
+        return make(**kwargs)
+    except _MODEL_ERRORS as exc:
+        raise _fail(str(exc), exc.key or where) from exc
+
+
 def document_to_network(doc: dict) -> Network:
-    plant = PlantModel(A=np.array(doc["plant"]["A"]), B=np.array(doc["plant"]["B"]))
+    plant = _build(
+        "plant", PlantModel, A=np.array(doc["plant"]["A"]), B=np.array(doc["plant"]["B"])
+    )
     edges = [tuple(e) for e in doc["edges"]]
     links_doc = doc.get("links", {})
     defaults = links_doc.get("defaults")
     overrides = {
-        tuple(ov["edge"]): ov for ov in links_doc.get("overrides", [])
+        tuple(ov["edge"]): (k, ov) for k, ov in enumerate(links_doc.get("overrides", []))
     }
 
     def link_for(edge) -> NeighborLink:
-        ov = overrides.get(edge, {})
+        k, ov = overrides.get(edge, (None, {}))
         parts = {}
         for key in ("W", "F", "Z"):
             if key in ov:
@@ -302,13 +313,16 @@ def document_to_network(doc: dict) -> Network:
                     f"edge {list(edge)} has no {key} (no defaults and no override)",
                     "links",
                 )
-        return NeighborLink(**parts)
+        where = "links.defaults" if k is None else f"links.overrides[{k}]"
+        return _build(where, NeighborLink, **parts)
 
     nodes = []
     for idx, nd in enumerate(doc["nodes"], start=1):
         links = {j: link_for((i, j)) for (i, j) in edges if i == idx}
         nodes.append(
-            NodeModel(
+            _build(
+                f"nodes[{idx}]",
+                NodeModel,
                 C=np.array(nd["C"]),
                 D=np.array(nd["D"]),
                 xi=np.array(nd["xi"]),
@@ -316,60 +330,64 @@ def document_to_network(doc: dict) -> Network:
                 links=links,
             )
         )
-    return build_network(plant, nodes, edges)
+    return _build("edges", build_network, plant=plant, nodes=nodes, edges=edges)
 
 
 def document_to_scenario(
     doc: dict, m_inv_blocks=None, minv_margin: float | None = None
 ) -> Scenario:
-    """Build a runnable Scenario; M^-1 blocks come from the argument, else
-    from an explicit tuning.M / tuning.M_inv section, else MissingTuning."""
+    """Build the whole Scenario of a document, checking every rule.
+
+    M^-1 blocks come from the argument, else from an explicit tuning.M /
+    tuning.M_inv section, else none: simulate then raises MissingTuning.
+    """
     net = document_to_network(doc)
     sim = doc["sim"]
     law_doc = sim["x0_law"]
-    if law_doc["kind"] == "fixed":
-        law = X0Law(kind="fixed", value=np.array(law_doc["value"], dtype=float))
-    else:
-        law = X0Law(
-            kind="gaussian",
-            mean=float(law_doc.get("mean", 0.0)),
-            std=float(law_doc.get("std", 0.0)),
-            seed=law_doc.get("seed"),
-        )
+    law = _build(
+        "sim.x0_law",
+        X0Law,
+        kind=law_doc["kind"],
+        value=law_doc.get("value"),
+        mean=float(law_doc.get("mean", 0.0)),
+        std=float(law_doc.get("std", 0.0)),
+        seed=law_doc.get("seed"),
+    )
     specs = []
-    for sd in doc.get("disturbances", []):
+    for k, sd in enumerate(doc.get("disturbances", [])):
         kwargs = dict(sd)
         if "edge" in kwargs:
             kwargs["edge"] = tuple(kwargs["edge"])
         if "amplitude" in kwargs and isinstance(kwargs["amplitude"], list):
             kwargs["amplitude"] = np.array(kwargs["amplitude"], dtype=float)
-        specs.append(DisturbanceSpec(**kwargs))
+        specs.append(_build(f"disturbances[{k}]", DisturbanceSpec, **kwargs))
 
-    if m_inv_blocks is None:
-        tuning = doc.get("tuning", {})
-        if "M_inv" in tuning:
-            m_inv_blocks = tuple(np.array(b) for b in tuning["M_inv"])
-        elif "M" in tuning:
-            try:
-                m_inv_blocks = tuple(np.linalg.inv(np.array(b)) for b in tuning["M"])
-            except np.linalg.LinAlgError as exc:
-                raise _fail(f"blocks must be invertible: {exc}", "tuning.M") from exc
-        else:
-            raise MissingTuning(
-                "scenario document carries no M blocks; run `menf tune` first or "
-                "pass a tuned file"
-            )
+    # Where the M^-1 blocks came from; Scenario's own checks name every other part.
+    m_key = "M_inv"
+    tuning = doc.get("tuning", {})
+    if m_inv_blocks is None and "M_inv" in tuning:
+        m_inv_blocks, m_key = tuning["M_inv"], "tuning.M_inv"
+    elif m_inv_blocks is None and "M" in tuning:
+        m_key = "tuning.M"
+        try:
+            m_inv_blocks = tuple(np.linalg.inv(np.array(b)) for b in tuning["M"])
+        except np.linalg.LinAlgError as exc:
+            raise _fail(f"blocks must be invertible: {exc}", m_key) from exc
     K0 = None
     if "gains" in doc:
         K0 = tuple(np.array(b) for b in doc["gains"]["K0"])
-    return Scenario(
+    return _build(
+        m_key,
+        Scenario,
         network=net,
         T=float(sim["T"]),
         dt=float(sim["dt"]),
         seed=int(sim["seed"]),
         x0_law=law,
         disturbances=tuple(specs),
-        m_inv_blocks=tuple(np.asarray(b, dtype=float) for b in m_inv_blocks),
+        m_inv_blocks=None if m_inv_blocks is None else tuple(
+            np.asarray(b, dtype=float) for b in m_inv_blocks
+        ),
         K0_blocks=K0,
         minv_margin=minv_margin,
     )
@@ -391,17 +409,23 @@ def tuning_P_from_document(doc: dict, net: Network, P_file=None) -> np.ndarray:
         _matrix(tuning["P"], f"{P_file}: P")
     else:
         tuning = doc.get("tuning", {})
+    where = str(P_file) if P_file is not None else "tuning.P"
     if "P" in tuning:
         P = np.array(tuning["P"], dtype=float)
     elif "P0" in tuning:
-        P = laplacian_P(
-            net, np.array(tuning["P0"], dtype=float), float(tuning.get("ridge", 0.0))
+        where = "tuning.P0"
+        P = _build(
+            where,
+            laplacian_P,
+            net=net,
+            P0=np.array(tuning["P0"], dtype=float),
+            ridge=float(tuning.get("ridge", 0.0)),
         )
     else:
         P = laplacian_P(net, np.eye(net.n), ridge=0.01)
     size = net.n * net.N
     if P.shape != (size, size):
-        raise DimensionMismatch(f"P must be {size}x{size}, got {P.shape}")
+        raise _fail(f"P must be {size}x{size}, got {P.shape}", where)
     return P
 
 

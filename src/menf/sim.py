@@ -56,11 +56,12 @@ from .errors import (
     LostPositivity,
     MissingTuning,
     NonFinite,
+    NotPositiveDefinite,
     SingularGain,
 )
 from .filters import disturbance_term, error_inner, filter_field, stacked_operator
-from .linalg import definiteness_threshold, require_psd
-from .model import Network, NeighborLink, NodeModel, PlantModel, build_network
+from .linalg import definiteness_threshold, require_psd, symmetrize
+from .model import Network, NodeModel, build_network
 from .riccati import RiccatiCoefficients, chunk_steps, gain_pass, riccati_rhs
 
 GRID_TOL = 1e-9
@@ -215,10 +216,6 @@ class X0Law:
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "fixed":
-            if self.value.shape != (n,):
-                raise DimensionMismatch(
-                    f"fixed x0 must have dimension {n}, got {self.value.shape}"
-                )
             return self.value.copy()
         return self.mean + self.std * rng.standard_normal(n)
 
@@ -230,6 +227,16 @@ class Scenario:
     m_inv_blocks are the per-node M_i^-1 matrices (PSD; zero allowed). They
     must be fixed before simulation -- the gain equations are
     data-independent and could equally be solved offline.
+
+    Construction checks everything a run needs of its parts, so a Scenario
+    that exists is runnable: T a whole number of dt steps, a fixed x0 of
+    dimension n, every disturbance on a channel of the network with a pulse
+    amplitude that fits it and a hold of at least one step after snapping,
+    and N positive semidefinite n x n blocks of M^-1 and K0. A failed check
+    raises DimensionMismatch or NotPositiveDefinite carrying the key path
+    of the part ("sim", "sim.x0_law", "disturbances[k]", "gains.K0"); the
+    M^-1 checks carry none, since those blocks may come from outside the
+    scenario document.
     """
 
     network: Network
@@ -244,20 +251,51 @@ class Scenario:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise DimensionMismatch("dt must be positive")
+            raise DimensionMismatch("dt must be positive").at("sim")
         steps = round(self.T / self.dt)
         if steps < 1 or abs(self.T - steps * self.dt) > GRID_TOL * max(1.0, self.T):
-            raise DimensionMismatch("T must be an integral number of dt steps")
+            raise DimensionMismatch(
+                f"T={self.T} must be a whole number of dt={self.dt} steps"
+            ).at("sim")
         self.disturbances = tuple(self.disturbances)
         N, n = self.network.N, self.network.n
-        for name, blocks in (("M_inv", self.m_inv_blocks), ("K0", self.K0_blocks)):
-            if blocks is not None and (
-                len(blocks) != N or any(np.shape(b) != (n, n) for b in blocks)
-            ):
+        law = self.x0_law
+        if law.kind == "fixed" and law.value.shape != (n,):
+            raise DimensionMismatch(
+                f"fixed x0 must have dimension {n}, got {law.value.shape}"
+            ).at("sim.x0_law")
+        dims = _channel_dims(self.network)
+        for k, spec in enumerate(self.disturbances):
+            where = f"disturbances[{k}]"
+            dim = dims.get(spec.channel_key())
+            if dim is None:
+                target = f"node {spec.node}" if spec.target == "v" else f"edge {spec.edge}"
+                raise DimensionMismatch(f"disturbance targets unknown {target}").at(where)
+            amp_shape = np.shape(spec.amplitude)
+            if spec.kind == "pulse" and amp_shape not in ((), (dim,)):
+                raise DimensionMismatch(
+                    f"pulse amplitude must be scalar or length {dim}, got shape {amp_shape}"
+                ).at(where)
+            if spec.kind == "held_gaussian" and round(spec.hold / self.dt) < 1:
+                raise DimensionMismatch(
+                    f"hold interval {spec.hold} snaps to zero steps of dt={self.dt}"
+                ).at(where)
+        for name, key, blocks in (
+            ("M_inv", None, self.m_inv_blocks),
+            ("K0", "gains.K0", self.K0_blocks),
+        ):
+            if blocks is None:
+                continue
+            if len(blocks) != N or any(np.shape(b) != (n, n) for b in blocks):
                 raise DimensionMismatch(
                     f"{name} must be {N} blocks of shape {(n, n)}, got shapes "
                     f"{[np.shape(b) for b in blocks]}"
-                )
+                ).at(key)
+            for i, b in enumerate(blocks, start=1):
+                try:
+                    require_psd(b, f"{name}_{i}")
+                except (DimensionMismatch, NotPositiveDefinite) as exc:
+                    raise exc.at(key)
 
     @property
     def steps(self) -> int:
@@ -272,14 +310,13 @@ class Scenario:
         return tuple(node.Xcal for node in self.network.nodes)
 
     def require_m_inv(self) -> tuple[np.ndarray, ...]:
+        """The symmetrized M^-1 blocks; MissingTuning when none are fixed."""
         if self.m_inv_blocks is None:
             raise MissingTuning(
-                "scenario has no M^-1 blocks; run the tuner or set them explicitly"
+                "scenario has no M^-1 blocks: tune it (`menf tune`, then "
+                "--tuned FILE), put M or M_inv in its tuning section, or set them"
             )
-        return tuple(
-            require_psd(b, f"M_inv_{i}")
-            for i, b in enumerate(self.m_inv_blocks, start=1)
-        )
+        return tuple(symmetrize(np.asarray(b, dtype=float)) for b in self.m_inv_blocks)
 
 
 @dataclass
@@ -300,16 +337,12 @@ class RealizedDisturbances:
         return w, v, eps
 
 
-def _channel_dim(net: Network, spec: DisturbanceSpec) -> int:
-    if spec.target == "w":
-        return net.plant.q
-    if spec.target == "v":
-        if spec.node not in set(net.node_ids()):
-            raise DimensionMismatch(f"disturbance targets unknown node {spec.node}")
-        return net.node(spec.node).p
-    if spec.edge not in set(net.edges):
-        raise DimensionMismatch(f"disturbance targets unknown edge {spec.edge}")
-    return net.link(*spec.edge).m
+def _channel_dims(net: Network) -> dict[tuple, int]:
+    """Dimension of every disturbance channel of the network, by channel key."""
+    dims = {("w",): net.plant.q}
+    dims.update({("v", i): net.node(i).p for i in net.node_ids()})
+    dims.update({("eps", i, j): net.link(i, j).m for (i, j) in net.edges})
+    return dims
 
 
 def _spec_rng(spec: DisturbanceSpec, scenario_seed: int, occurrence: int):
@@ -331,16 +364,10 @@ def _build_signal(
         amp = np.asarray(spec.amplitude, dtype=float)
         if amp.ndim == 0:
             amp = np.full(dim, float(amp))
-        if amp.shape != (dim,):
-            raise DimensionMismatch(
-                f"pulse amplitude must be scalar or length {dim}, got {amp.shape}"
-            )
         t0 = _snap_to_grid(spec.start, scenario.dt, "pulse start")
         t1 = _snap_to_grid(spec.start + spec.duration, scenario.dt, "pulse end")
         return _PulseSignal(amp, t0, t1, scenario.dt)
     hold = _snap_to_grid(spec.hold, scenario.dt, "hold interval")
-    if hold <= 0:
-        raise DimensionMismatch("hold interval must be positive")
     frames = int(np.ceil(scenario.T / hold))
     rng = _spec_rng(spec, scenario.seed, occurrence)
     values = spec.mean + spec.std * rng.standard_normal((frames, dim))
@@ -357,31 +384,24 @@ def realize_disturbances(scenario: Scenario) -> RealizedDisturbances:
     )
     x0 = scenario.x0_law.draw(net.n, rng_x0)
 
-    per_channel: dict[tuple, list[_Signal]] = {}
-    occurrences: dict[tuple, int] = {}
+    dims = _channel_dims(net)
+    per_channel: dict[tuple, list[_Signal]] = {key: [] for key in dims}
     for spec in scenario.disturbances:
-        dim = _channel_dim(net, spec)
         key = spec.channel_key()
-        occ = occurrences.get(key, 0)
-        occurrences[key] = occ + 1
-        per_channel.setdefault(key, []).append(
-            _build_signal(spec, dim, scenario, occ)
-        )
+        parts = per_channel[key]
+        parts.append(_build_signal(spec, dims[key], scenario, len(parts)))
 
-    def channel(key: tuple, dim: int) -> _Signal:
-        parts = per_channel.get(key, [])
+    def channel(key: tuple) -> _Signal:
+        parts = per_channel[key]
         if not parts:
-            return _ZeroSignal(dim)
+            return _ZeroSignal(dims[key])
         if len(parts) == 1:
             return parts[0]
-        return _SumSignal(parts, dim)
+        return _SumSignal(parts, dims[key])
 
-    w = channel(("w",), net.plant.q)
-    v = {i: channel(("v", i), net.node(i).p) for i in net.node_ids()}
-    eps = {
-        (i, j): channel(("eps", i, j), net.link(i, j).m)
-        for (i, j) in net.edges
-    }
+    w = channel(("w",))
+    v = {i: channel(("v", i)) for i in net.node_ids()}
+    eps = {(i, j): channel(("eps", i, j)) for (i, j) in net.edges}
     return RealizedDisturbances(x0=x0, w=w, v=v, eps=eps)
 
 
@@ -528,8 +548,6 @@ def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
     t_grid = scenario.t_grid()
 
     K0 = np.stack([np.asarray(b, dtype=float) for b in scenario.gain_initial_blocks()])
-    for i, K0_i in enumerate(K0, start=1):
-        require_psd(K0_i, f"K0_{i}")
     Ks = np.empty((N, steps + 1, n, n))
     Ks[:, 0] = K0
     min_gain_eig = _check_gains(K0, 0.0)
@@ -675,127 +693,6 @@ def simulate_error_oracle(
         es[:, k + 1] = e
 
     return ErrorTrajectories(t=t_grid, e=es)
-
-
-# ---------------------------------------------------------------------------
-# Built-in Chua scenario
-# ---------------------------------------------------------------------------
-
-CHUA_A = np.array([[-3.2, 10.0, 0.0], [1.0, -1.0, 1.0], [0.0, -14.87, 0.0]])
-CHUA_C_WEAK = 0.001 * np.array([[3.1923, -4.6597, 1.0]])
-CHUA_C_STRONG = np.array([[-0.8986, 0.1312, -1.9703]])
-CHUA_EDGES = ((1, 3), (2, 3), (3, 1), (3, 2), (3, 4), (4, 3), (4, 5), (5, 4))
-
-
-def chua_network() -> Network:
-    """Five-node network observing the chaotic Chua-circuit regime.
-
-    Nodes 1 and 4 carry the nearly uninformative sensor (C scaled by 0.001);
-    every link uses W = I, F = 0.5 I, Z = 0.1 I, so U = 0.35 I.
-    """
-    plant = PlantModel(A=CHUA_A, B=0.4 * np.eye(3))
-    Cs = {
-        1: CHUA_C_WEAK,
-        2: CHUA_C_STRONG,
-        3: CHUA_C_STRONG,
-        4: CHUA_C_WEAK,
-        5: CHUA_C_STRONG,
-    }
-    nodes = []
-    for i in range(1, 6):
-        links = {
-            j: NeighborLink(W=np.eye(3), F=0.5 * np.eye(3), Z=0.1 * np.eye(3))
-            for (a, j) in CHUA_EDGES
-            if a == i
-        }
-        nodes.append(
-            NodeModel(
-                C=Cs[i],
-                D=np.array([[0.025]]),
-                xi=np.zeros(3),
-                Xcal=10.0 * np.eye(3),
-                links=links,
-            )
-        )
-    return build_network(plant, nodes, CHUA_EDGES)
-
-
-def chua_pulse_specs(net: Network, amplitude: float = 1.0) -> tuple[DisturbanceSpec, ...]:
-    """One-second pulses on every disturbance channel (w, each v_i, each eps_ij)."""
-    specs = [
-        DisturbanceSpec(kind="pulse", target="w", amplitude=amplitude, start=0.0, duration=1.0)
-    ]
-    for i in net.node_ids():
-        specs.append(
-            DisturbanceSpec(
-                kind="pulse", target="v", node=i, amplitude=amplitude, start=0.0, duration=1.0
-            )
-        )
-    for e in net.edges:
-        specs.append(
-            DisturbanceSpec(
-                kind="pulse", target="eps", edge=e, amplitude=amplitude, start=0.0, duration=1.0
-            )
-        )
-    return tuple(specs)
-
-
-def chua_held_gaussian_specs(
-    net: Network, std: float = 1.0, hold: float = 0.1
-) -> tuple[DisturbanceSpec, ...]:
-    """Held-gaussian noise on every disturbance channel."""
-    specs = [DisturbanceSpec(kind="held_gaussian", target="w", mean=0.0, std=std, hold=hold)]
-    for i in net.node_ids():
-        specs.append(
-            DisturbanceSpec(kind="held_gaussian", target="v", node=i, mean=0.0, std=std, hold=hold)
-        )
-    for e in net.edges:
-        specs.append(
-            DisturbanceSpec(kind="held_gaussian", target="eps", edge=e, mean=0.0, std=std, hold=hold)
-        )
-    return tuple(specs)
-
-
-def make_chua_scenario(
-    seed: int,
-    *,
-    disturbance_kind: str = "pulse",
-    pulse_amplitude: float = 1.0,
-    gaussian_std: float = 1.0,
-    tuning=None,
-) -> Scenario:
-    """The built-in desk-scale reproduction scenario.
-
-    T = 10 s at dt = 1e-3, K_i(0) = 10 I, x0 ~ N(0.1, 0.2^2) per coordinate,
-    one-second disturbance pulses on every channel (or held-gaussian noise),
-    and M^-1 tuned against P = (1/2)(L + L_rev) (x) I + 0.01 I. Pass a
-    TuningResult to skip the tuning solve.
-    """
-    from .tuning import laplacian_P, tune_scalar
-
-    net = chua_network()
-    if tuning is None:
-        P = laplacian_P(net, np.eye(3), ridge=0.01)
-        tuning = tune_scalar(net, P)
-    if disturbance_kind == "pulse":
-        specs = chua_pulse_specs(net, pulse_amplitude)
-    elif disturbance_kind == "held_gaussian":
-        specs = chua_held_gaussian_specs(net, std=gaussian_std)
-    elif disturbance_kind == "zero":
-        specs = ()
-    else:
-        raise DimensionMismatch(f"unknown disturbance kind {disturbance_kind!r}")
-    return Scenario(
-        network=net,
-        T=10.0,
-        dt=1e-3,
-        seed=seed,
-        x0_law=X0Law(kind="gaussian", mean=0.1, std=0.2),
-        disturbances=specs,
-        m_inv_blocks=tuning.m_inv_blocks,
-        K0_blocks=tuple(10.0 * np.eye(3) for _ in range(net.N)),
-        minv_margin=tuning.minv_margin,
-    )
 
 
 def make_isolated_variant(scenario: Scenario, node_id: int) -> Scenario:

@@ -26,7 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, Infeasible, NoStabilizingSolution
+from .errors import (
+    DimensionMismatch,
+    Infeasible,
+    NoStabilizingSolution,
+    NotPositiveDefinite,
+)
 from .linalg import block_diag, require_psd, require_spd, require_symmetric, symmetrize
 from .model import GlobalMatrices, Network, NodeModel, PlantModel, assemble_global
 from .riccati import AreSolution, solve_are_stabilizing
@@ -79,7 +84,7 @@ def laplacian_P(net: Network, P0: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """
     P0 = require_psd(P0, "P0")
     if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+        raise NotPositiveDefinite("ridge I", ridge)
     N = net.N
     adj = np.zeros((N, N))
     for (i, j) in net.edges:

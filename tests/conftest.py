@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,41 @@ from menf import (
     NodeModel,
     PlantModel,
     build_network,
-    chua_network,
     laplacian_P,
-    make_chua_scenario,
     simulate,
     tune_scalar,
 )
+from menf.scenario_io import bundled_chua_text, document_to_scenario, parse_document
+
+# The paper's Chua plant and graph, which the bundled scenario must carry.
+CHUA_A = np.array([[-3.2, 10.0, 0.0], [1.0, -1.0, 1.0], [0.0, -14.87, 0.0]])
+CHUA_EDGES = ((1, 3), (2, 3), (3, 1), (3, 2), (3, 4), (4, 3), (4, 5), (5, 4))
+CHUA_DOC = parse_document(bundled_chua_text(), source="chua.scenario")
+
+
+def chua_scenario(seed, tuning, disturbances="pulse", amplitude=1.0, std=1.0):
+    """The bundled Chua scenario run with `seed` and the tuned M^-1, its
+    disturbance on every channel being the bundled one-second pulse scaled
+    to `amplitude`, held-gaussian noise N(0, std^2) held 0.1 s, or zero."""
+    doc = copy.deepcopy(CHUA_DOC)
+    doc["sim"]["seed"] = seed
+    if disturbances == "zero":
+        doc["disturbances"] = []
+    for spec in doc["disturbances"]:
+        if disturbances == "pulse":
+            spec["amplitude"] = amplitude
+        else:
+            where = {k: spec[k] for k in ("target", "node", "edge") if k in spec}
+            spec.clear()
+            spec.update(kind="held_gaussian", mean=0.0, std=std, hold=0.1, **where)
+    return document_to_scenario(
+        doc, m_inv_blocks=tuning.m_inv_blocks, minv_margin=tuning.minv_margin
+    )
 
 
 @pytest.fixture(scope="session")
 def chua_net():
-    return chua_network()
+    return document_to_scenario(CHUA_DOC).network
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +58,7 @@ def chua_tuning(chua_net, chua_P):
 @pytest.fixture(scope="session")
 def chua_run(chua_tuning):
     """Seed-0 pulse run of the built-in scenario, shared across modules."""
-    scenario = make_chua_scenario(0, tuning=chua_tuning)
+    scenario = chua_scenario(0, chua_tuning)
     return scenario, simulate(scenario)
 
 

@@ -18,7 +18,6 @@ from menf import (
     integrate_riccati,
     laplacian_P,
     lhs_cost,
-    make_chua_scenario,
     make_isolated_variant,
     node_feasible,
     simulate,
@@ -26,6 +25,8 @@ from menf import (
     solve_are_stabilizing,
     verify_prop1_limit,
 )
+
+from conftest import chua_scenario
 
 N_SEEDS = 10
 LAST_SECOND = 9.0
@@ -40,7 +41,7 @@ def _max_inf_last_second(traj, node_idx):
 def networked_runs(chua_tuning):
     runs = []
     for seed in range(N_SEEDS):
-        scenario = make_chua_scenario(seed, tuning=chua_tuning)
+        scenario = chua_scenario(seed, chua_tuning)
         start = time.perf_counter()
         traj = simulate(scenario)
         runs.append((seed, scenario, traj, time.perf_counter() - start))
@@ -64,7 +65,7 @@ def test_criterion_01_chua_reproduction(networked_runs):
 
 
 def test_criterion_02_internal_stability(chua_tuning):
-    scenario = make_chua_scenario(123, disturbance_kind="zero", tuning=chua_tuning)
+    scenario = chua_scenario(123, chua_tuning, disturbances="zero")
     traj = simulate(scenario)
     e0 = float(np.linalg.norm(traj.e[:, 0, :]))
     eT = float(np.linalg.norm(traj.e[:, -1, :]))
@@ -82,18 +83,18 @@ def test_criterion_03_hinf_bound(chua_tuning, chua_P):
     for k in range(20):
         rng = np.random.default_rng(1000 + k)
         if k % 2 == 0:
-            scenario = make_chua_scenario(
+            scenario = chua_scenario(
                 2000 + k,
-                disturbance_kind="pulse",
-                pulse_amplitude=float(rng.uniform(0.5, 1.5)),
-                tuning=chua_tuning,
+                chua_tuning,
+                disturbances="pulse",
+                amplitude=float(rng.uniform(0.5, 1.5)),
             )
         else:
-            scenario = make_chua_scenario(
+            scenario = chua_scenario(
                 2000 + k,
-                disturbance_kind="held_gaussian",
-                gaussian_std=float(rng.uniform(0.5, 1.5)),
-                tuning=chua_tuning,
+                chua_tuning,
+                disturbances="held_gaussian",
+                std=float(rng.uniform(0.5, 1.5)),
             )
         traj = simulate(scenario)
         report = check_hinf(scenario, traj, chua_P)

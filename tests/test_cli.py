@@ -1,6 +1,11 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menf import check_hinf, simulate
 from menf.cli import _fmt, _write_csv, main
@@ -325,6 +330,8 @@ disturbances:
   - {kind: held_gaussian, target: v, node: 1, mean: 0.0, std: 0.1, hold: 0.002, seed: 2}
 tuning: {M_inv: [[[0.01]]]}
 """
+LINKS = "links: {defaults: {W: [[1.0]], F: [[0.5]], Z: [[0.1]]}}"
+TUNE_P0 = "{P0: [[1.0]], ridge: 0.01}"
 
 
 @pytest.mark.parametrize(
@@ -384,6 +391,47 @@ tuning: {M_inv: [[[0.01]]]}
             ["manifest.yaml", lambda text: text.replace("gains_positive_definite", "gains_pd")],
             "manifest.yaml: hypotheses", id="manifest-unknown-hypothesis",
         ),
+        # Rules on what the values mean, checked where the model objects
+        # are built: simulate and tune both build the whole scenario.
+        *[
+            pytest.param(old, new, args, where, id=f"{name}-{args[0] if args else 'simulate'}")
+            for old, new, where, name in [
+                ("T: 0.01", "T: 0.0105", "sim", "T-off-grid"),
+                ("node: 1", "node: 7", "disturbances[1]", "node-unknown"),
+                ("hold: 0.002", "hold: 0.0004", "disturbances[1]", "hold-below-dt"),
+                (
+                    "{kind: gaussian, mean: 0.0, std: 1.0, seed: 1}",
+                    "{kind: fixed, value: [0.0, 1.0]}", "sim.x0_law", "x0-length",
+                ),
+                ("amplitude: 1.0", "amplitude: [1.0, 2.0]", "disturbances[0]", "amplitude-length"),
+                ("tuning:", "gains: {K0: [[[-1.0]]]}\ntuning:", "gains.K0", "K0-negative"),
+            ]
+            for args in ([], ["tune"])
+        ],
+        pytest.param("C: [[1.0]]", "C: [[1.0, 2.0]]", [], "nodes[1].C", id="C-width"),
+        pytest.param("D: [[0.5]]", "D: [[0.0]]", [], "nodes[1]", id="D-singular"),
+        pytest.param("Xcal: [[1.0]]", "Xcal: [[-1.0]]", [], "nodes[1]", id="Xcal-negative"),
+        pytest.param("B: [[1.0]]", "B: [[1.0], [2.0]]", [], "plant", id="B-rows"),
+        pytest.param("A: [[-1.0]]", "A: [[-1.0, 0.0]]", [], "plant", id="A-not-square"),
+        pytest.param("[[[0.01]]]", "[[[-0.01]]]", [], "tuning.M_inv", id="M_inv-negative"),
+        pytest.param(
+            "edges: []", "edges: [[1, 1]]\n" + LINKS, [], "edges", id="edge-self-loop"
+        ),
+        pytest.param(
+            "edges: []", "edges: [[1, 2]]\n" + LINKS, [], "edges", id="edge-unknown-node"
+        ),
+        pytest.param(
+            "edges: []", "edges: []\nlinks: {overrides: [{edge: [1, 2], W: [[1.0]]}]}", [],
+            "links.overrides[0].edge", id="override-unknown-edge",
+        ),
+        pytest.param(
+            "{M_inv: [[[0.01]]]}", "{P0: [[1.0]], ridge: -1.0}", ["tune"], "tuning.P0",
+            id="ridge-negative-tune",
+        ),
+        pytest.param(
+            "{M_inv: [[[0.01]]]}", "{P0: [[1.0, 0.0], [0.0, 1.0]]}", ["tune"], "tuning.P0",
+            id="P0-size-tune",
+        ),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, old, new, args, where):
@@ -401,6 +449,9 @@ def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, old, new, args
         manifest = out / "manifest.yaml"
         manifest.write_text(args[1](manifest.read_text(encoding="utf-8")), encoding="utf-8")
         argv = ["verify", str(out)]
+    elif args == ["tune"]:
+        scen = write_small(tmp_path, text.replace("{M_inv: [[[0.01]]]}", TUNE_P0))
+        argv = ["tune", str(scen), "--out", str(tmp_path / "tuned.yaml")]
     else:
         argv = ["simulate", str(scen), "--out", str(out), *args]
     capsys.readouterr()
@@ -408,3 +459,56 @@ def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, old, new, args
     err = capsys.readouterr().err
     assert where in err
     assert "Traceback" not in err
+
+
+def _numeric_leaves(node, path=()):
+    """Key paths of the numbers in a loaded document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+# The numbers of ONE_NODE that no negative value can fill.
+_NON_NEGATIVE = {
+    ("sim", "T"), ("sim", "dt"), ("sim", "seed"), ("sim", "x0_law", "std"),
+    ("sim", "x0_law", "seed"), ("disturbances", 0, "duration"), ("disturbances", 1, "node"),
+    ("disturbances", 1, "std"), ("disturbances", 1, "hold"), ("disturbances", 1, "seed"),
+    ("nodes", 0, "Xcal", 0, 0), ("tuning", "M_inv", 0, 0, 0),
+}
+_EDITS = {
+    "text": lambda v: "x",
+    "nan": lambda v: float("nan"),
+    "negative": lambda v: -(abs(v) + 1),
+    "wrong-length list": lambda v: [v, v],
+}
+_LEAF_EDITS = [
+    (path, edit)
+    for path in _numeric_leaves(yaml.safe_load(ONE_NODE))
+    for edit in _EDITS
+    if edit != "negative" or path in _NON_NEGATIVE
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_LEAF_EDITS))
+def test_single_leaf_edit_exits_1_naming_its_section(tmp_path_factory, case):
+    """The exit-1 contract over single-number edits of a valid scenario:
+    exit 1, the edited key's top-level section in the message, and no
+    traceback."""
+    path, edit = case
+    doc = yaml.safe_load(ONE_NODE)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _EDITS[edit](parent[path[-1]])
+    tmp = tmp_path_factory.mktemp("fuzz")
+    scen = write_small(tmp, yaml.safe_dump(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", str(scen), "--out", str(tmp / "run")])
+    assert code == 1, (path, edit)
+    assert path[0] in err.getvalue(), (path, edit, err.getvalue())
+    assert "Traceback" not in err.getvalue()

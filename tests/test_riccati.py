@@ -13,13 +13,13 @@ from menf import (
     assemble_global,
     integrate_global_riccati,
     integrate_riccati,
-    make_chua_scenario,
     riccati_rhs,
     simulate,
     solve_are_stabilizing,
     verify_prop1_limit,
 )
 
+from conftest import chua_scenario
 
 def scalar_coeffs(a, q, s):
     """n=1 coefficients with the whole constant term in obs_info."""
@@ -117,7 +117,7 @@ def test_integrate_lost_positivity_for_large_penalty(chua_net, chua_tuning):
     assert 0.0 < exc.value.t < 1.0
     # The coupled engine steps the same gains and also factors their RK4
     # stages, so it fails in the same step, at its midpoint stage.
-    scenario = make_chua_scenario(0, tuning=chua_tuning, disturbance_kind="zero")
+    scenario = chua_scenario(0, chua_tuning, disturbances="zero")
     m_inv = (12.0 * np.eye(3),) + tuple(chua_tuning.m_inv_blocks[1:])
     with pytest.raises(SingularGain) as engine_exc:
         simulate(replace(scenario, T=1.0, m_inv_blocks=m_inv))
@@ -126,7 +126,7 @@ def test_integrate_lost_positivity_for_large_penalty(chua_net, chua_tuning):
 
 def test_integrate_matches_engine_gains(chua_net, chua_tuning):
     # one gain stepper: a node's gain on its own is bit for bit the engine's
-    scenario = replace(make_chua_scenario(0, tuning=chua_tuning), T=1.0)
+    scenario = replace(chua_scenario(0, chua_tuning), T=1.0)
     traj = simulate(scenario)
     for i in chua_net.node_ids():
         coeffs = RiccatiCoefficients.from_network(

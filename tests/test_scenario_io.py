@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from menf import MissingTuning, ScenarioFormatError
+from menf import MissingTuning, ScenarioFormatError, simulate
 from menf.scenario_io import (
     bundled_chua_text,
     document_hash,
@@ -15,7 +15,8 @@ from menf.scenario_io import (
     tuning_P_from_document,
     tuning_result_to_document,
 )
-from menf.sim import chua_network
+
+from conftest import CHUA_A, CHUA_EDGES
 
 
 MINIMAL = """
@@ -80,8 +81,10 @@ def test_float_roundtrip_exact():
 def test_missing_tuning_raises():
     doc = yaml.safe_load(MINIMAL)
     del doc["tuning"]
+    scenario = document_to_scenario(parse_document(yaml.safe_dump(doc)))
+    assert scenario.m_inv_blocks is None
     with pytest.raises(MissingTuning):
-        document_to_scenario(parse_document(yaml.safe_dump(doc)))
+        simulate(scenario)
 
 
 def test_exactly_one_tuning_mode():
@@ -113,15 +116,21 @@ def test_edges_require_links_section():
 def test_bundled_chua_matches_builtin_network():
     doc = parse_document(bundled_chua_text(), source="chua.scenario")
     net = document_to_network(doc)
-    ref = chua_network()
-    assert net.edges == ref.edges
-    assert np.array_equal(net.plant.A, ref.plant.A)
-    for i in ref.node_ids():
-        assert np.array_equal(net.node(i).C, ref.node(i).C)
-        assert np.array_equal(net.node(i).R, ref.node(i).R)
-        assert np.array_equal(net.node(i).Xcal, ref.node(i).Xcal)
-        for j in ref.neighbors[i]:
-            assert np.array_equal(net.link(i, j).U, ref.link(i, j).U)
+    # the paper's network: nodes 1 and 4 carry the nearly uninformative
+    # sensor (C scaled by 0.001); every link has W = I, F = 0.5 I, Z = 0.1 I
+    assert net.edges == tuple(sorted(CHUA_EDGES))
+    assert np.array_equal(net.plant.A, CHUA_A)
+    assert np.array_equal(net.plant.B, 0.4 * np.eye(3))
+    weak = 0.001 * np.array([[3.1923, -4.6597, 1.0]])
+    strong = np.array([[-0.8986, 0.1312, -1.9703]])
+    for i in net.node_ids():
+        assert np.array_equal(net.node(i).C, weak if i in (1, 4) else strong)
+        assert np.array_equal(net.node(i).R, np.array([[0.025**2]]))
+        assert np.array_equal(net.node(i).Xcal, 10.0 * np.eye(3))
+        for j in net.neighbors[i]:
+            link = net.link(i, j)
+            assert np.array_equal(link.W, np.eye(3))
+            assert np.array_equal(link.U, 0.25 * np.eye(3) + 0.1 * np.eye(3))
     P = tuning_P_from_document(doc, net)
     assert P.shape == (15, 15)
     sim = doc["sim"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from menf import (
+    DimensionMismatch,
     DisturbanceSpec,
     LostPositivity,
     MissingTuning,
@@ -18,16 +19,19 @@ from menf import (
     SingularGain,
     X0Law,
     build_network,
-    make_chua_scenario,
     make_isolated_variant,
     realize_disturbances,
     simulate,
     simulate_error_oracle,
     simulate_seeds,
 )
-from menf.sim import CHUA_A, CHUA_EDGES
-
-from conftest import make_single_node_network, make_two_node_network
+from conftest import (
+    CHUA_A,
+    CHUA_EDGES,
+    chua_scenario,
+    make_single_node_network,
+    make_two_node_network,
+)
 
 
 def small_scenario(net, seed=0, T=1.0, dt=1e-3, disturbances=(), x0=None):
@@ -66,8 +70,8 @@ def test_exact_tracking_without_disturbances():
 def test_determinism_bit_identical(chua_tuning):
     from dataclasses import replace
 
-    s1 = make_chua_scenario(4, tuning=chua_tuning)
-    s2 = make_chua_scenario(4, tuning=chua_tuning)
+    s1 = chua_scenario(4, chua_tuning)
+    s2 = chua_scenario(4, chua_tuning)
     # identical scenario + seed: identical realizations and trajectories
     t1 = simulate(replace(s1, T=0.5))
     t2 = simulate(replace(s2, T=0.5))
@@ -78,7 +82,7 @@ def test_determinism_bit_identical(chua_tuning):
 
 
 def test_chua_scenario_contract(chua_tuning):
-    scenario = make_chua_scenario(1, tuning=chua_tuning)
+    scenario = chua_scenario(1, chua_tuning)
     net = scenario.network
     np.testing.assert_array_equal(net.plant.A, CHUA_A)
     assert net.edges == tuple(sorted(CHUA_EDGES))
@@ -88,15 +92,15 @@ def test_chua_scenario_contract(chua_tuning):
         np.testing.assert_array_equal(K0, 10.0 * np.eye(3))
     # same seed -> identical disturbance realizations
     r1 = realize_disturbances(scenario)
-    r2 = realize_disturbances(make_chua_scenario(1, tuning=chua_tuning))
+    r2 = realize_disturbances(chua_scenario(1, chua_tuning))
     assert np.array_equal(r1.x0, r2.x0)
     t = np.linspace(0, 10, 23)
     assert np.array_equal(r1.w.values(t, closed=True), r2.w.values(t, closed=True))
 
 
 def test_distinct_seeds_differ(chua_tuning):
-    r1 = realize_disturbances(make_chua_scenario(1, tuning=chua_tuning))
-    r2 = realize_disturbances(make_chua_scenario(2, tuning=chua_tuning))
+    r1 = realize_disturbances(chua_scenario(1, chua_tuning))
+    r2 = realize_disturbances(chua_scenario(2, chua_tuning))
     assert not np.array_equal(r1.x0, r2.x0)
 
 
@@ -115,7 +119,7 @@ def test_missing_tuning_raises():
 
 def test_grid_validation():
     net = make_single_node_network()
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch):
         Scenario(
             network=net,
             T=1.0005,
@@ -229,7 +233,7 @@ def test_step_halving_chua(chua_run):
 
 
 def test_isolated_variant_structure(chua_tuning):
-    scenario = make_chua_scenario(0, tuning=chua_tuning)
+    scenario = chua_scenario(0, chua_tuning)
     iso = make_isolated_variant(scenario, 1)
     net = iso.network
     assert net.neighbors[1] == ()
@@ -459,7 +463,7 @@ def test_simulate_seeds_equals_one_run_per_seed(N, n, seed, seeds):
 
 
 def test_simulate_seeds_shares_one_read_only_gain_array(chua_tuning):
-    scenario = replace(make_chua_scenario(0, tuning=chua_tuning), T=0.05)
+    scenario = replace(chua_scenario(0, chua_tuning), T=0.05)
     a, b = simulate_seeds(scenario, [3, 4])
     assert a.K is b.K
     assert not a.K.flags.writeable

@@ -89,11 +89,9 @@ def test_rhs_budget_zero_case():
     assert breakdown.total == 0.0
 
 
-def test_rhs_budget_unit_pulse_model_term(chua_tuning):
+def test_rhs_budget_unit_pulse_model_term(chua_net, chua_tuning):
     # N = 5 nodes, unit scalar pulse of 1 s on one w channel: model term = 5
-    from menf import chua_network
-
-    net = chua_network()
+    net = chua_net
     scenario = Scenario(
         network=net,
         T=10.0,
