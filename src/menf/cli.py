@@ -50,7 +50,7 @@ from .sim import (
     make_isolated_variant,
     realize_disturbances,
     simulate,
-    simulate_seeds,
+    simulate_runs,
 )
 from .tuning import tune_scalar
 from .verify import check_hinf
@@ -228,8 +228,13 @@ def _cmd_simulate(args) -> int:
     doc = _apply_overrides(load_document(args.scenario), args)
     # Without --tuned, document_to_scenario reads M or M_inv from the
     # document, and simulate raises MissingTuning when it has neither.
-    m_inv, margin = load_tuned_m(args.tuned) if args.tuned else (None, None)
-    scenario = document_to_scenario(doc, m_inv_blocks=m_inv, minv_margin=margin)
+    if args.tuned:
+        m_inv, margin = load_tuned_m(args.tuned)
+        scenario = document_to_scenario(
+            doc, m_inv, margin, m_inv_source=f"{args.tuned}: tuned.M_inv"
+        )
+    else:
+        scenario = document_to_scenario(doc)
     traj = simulate(scenario)
     _export_run(Path(args.out), doc, scenario, traj)
     final_e = float(np.max(np.abs(traj.e[:, -1, :])))
@@ -260,18 +265,16 @@ def _load_manifest(traj_dir: Path) -> dict:
     return manifest
 
 
-def _matching_samples(path: Path, cols: int, realized: np.ndarray) -> np.ndarray:
-    """Grid samples of one disturbance CSV, which must equal the samples
+def _matching_samples(path: Path, cols: int, realized: np.ndarray) -> None:
+    """Require the grid samples of one disturbance CSV to equal the samples
     realized from the manifest's scenario and seed (the 17-digit export
     round-trips exactly)."""
-    samples = _read_csv(path, 1 + cols)[:, 1:]
-    if not np.array_equal(samples, realized):
+    if not np.array_equal(_read_csv(path, 1 + cols)[:, 1:], realized):
         raise ScenarioFormatError(
             "samples differ from the disturbances realized from the manifest's "
             "scenario and seed",
             str(path),
         )
-    return samples
 
 
 def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
@@ -283,7 +286,6 @@ def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
         raise ScenarioFormatError(
             "time grid differs from the manifest's scenario", str(traj_dir / "state.csv")
         )
-    x = state[:, 1:]
     steps1 = len(t)
     xhat = np.empty((net.N, steps1, n))
     for i in net.node_ids():
@@ -294,33 +296,24 @@ def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
                 str(traj_dir),
             )
         xhat[i - 1] = est[:, 1:]
-    real = realize_disturbances(scenario)
-    w_real, v_real, eps_real = real.evaluate(t, closed=True)
-    w = _matching_samples(traj_dir / "disturbance_w.csv", net.plant.q, w_real)
-    v = {
-        i: _matching_samples(
-            traj_dir / f"disturbance_v_node{i}.csv", net.node(i).p, v_real[i]
-        )
-        for i in net.node_ids()
-    }
-    eps = {
-        (i, j): _matching_samples(
-            traj_dir / f"disturbance_eps_{i}_{j}.csv", net.link(i, j).m, eps_real[(i, j)]
-        )
-        for (i, j) in net.edges
-    }
-    return Trajectories(
+    traj = Trajectories(
         t=t,
-        x=x,
+        x=state[:, 1:],
         xhat=xhat,
         K=np.zeros((net.N, steps1, n, n)),
-        w_samples=w,
-        v_samples=v,
-        eps_samples=eps,
-        realization=real,
+        realization=realize_disturbances(scenario),
         network=net,
-        hypotheses={},
     )
+    _matching_samples(traj_dir / "disturbance_w.csv", net.plant.q, traj.w_samples)
+    for i in net.node_ids():
+        _matching_samples(
+            traj_dir / f"disturbance_v_node{i}.csv", net.node(i).p, traj.v_samples[i]
+        )
+    for (i, j) in net.edges:
+        _matching_samples(
+            traj_dir / f"disturbance_eps_{i}_{j}.csv", net.link(i, j).m, traj.eps_samples[(i, j)]
+        )
+    return traj
 
 
 def _cmd_verify(args) -> int:
@@ -331,6 +324,7 @@ def _cmd_verify(args) -> int:
         doc,
         m_inv_blocks=[np.array(b) for b in manifest["m_inv"]],
         minv_margin=manifest.get("hypotheses", {}).get("minv_margin"),
+        m_inv_source=f"{traj_dir / 'manifest.yaml'}: m_inv",
     )
     traj = _load_trajectories(traj_dir, scenario)
     traj.hypotheses = dict(manifest.get("hypotheses", {}))
@@ -375,42 +369,27 @@ def _last_second(t: np.ndarray) -> np.ndarray:
     return t >= t[-1] - 1.0
 
 
-def _export_seeds(out: Path, doc: dict, scenario, P: np.ndarray, seeds) -> list[tuple]:
-    """Simulate the seeds in one batch and export every run. Returns per
-    seed (seed, per-node max |e_1| and max |e|_inf over the last second,
-    converged, H-infinity slack)."""
-    N = scenario.network.N
-    records = []
-    for seed, traj in zip(seeds, simulate_seeds(scenario, seeds)):
-        sdoc = json.loads(json.dumps(doc))  # deep copy
-        sdoc["sim"]["seed"] = seed
-        run = replace(scenario, seed=seed)
-        seed_dir = out / f"seed_{seed}"
-        _export_run(seed_dir, sdoc, run, traj)
-        report = check_hinf(run, traj, P)
+def _export_seed(out: Path, doc: dict, P: np.ndarray, run, traj: Trajectories) -> tuple:
+    """Export one seed's run. Returns (seed, per-node max |e_1| and max
+    |e|_inf over the last second, converged, H-infinity slack)."""
+    N = run.network.N
+    sdoc = json.loads(json.dumps(doc))  # deep copy
+    sdoc["sim"]["seed"] = run.seed
+    seed_dir = out / f"seed_{run.seed}"
+    _export_run(seed_dir, sdoc, run, traj)
+    report = check_hinf(run, traj, P)
 
-        window = _last_second(traj.t)
-        e = traj.e
-        first = [float(np.max(np.abs(e[i][window, 0]))) for i in range(N)]
-        inf = [float(np.max(np.abs(e[i][window]))) for i in range(N)]
-        converged = all(v <= 1e-2 for v in inf)
-        _write_csv(
-            seed_dir / "errors_first_coord.csv",
-            ["t"] + [f"e1_node{i}" for i in range(1, N + 1)],
-            [traj.t] + [e[i][:, 0] for i in range(N)],
-        )
-        records.append((seed, first, inf, converged, report.slack))
-    return records
-
-
-def _isolated_maxima(scenario, seeds) -> list[float]:
-    """Node 1's max |e|_inf over the last second with its incoming links cut,
-    for every seed, from one batch."""
-    window = _last_second(scenario.t_grid())
-    return [
-        float(np.max(np.abs(iso.e[0][window])))
-        for iso in simulate_seeds(make_isolated_variant(scenario, 1), seeds)
-    ]
+    window = _last_second(traj.t)
+    e = traj.e
+    first = [float(np.max(np.abs(e[i][window, 0]))) for i in range(N)]
+    inf = [float(np.max(np.abs(e[i][window]))) for i in range(N)]
+    converged = all(v <= 1e-2 for v in inf)
+    _write_csv(
+        seed_dir / "errors_first_coord.csv",
+        ["t"] + [f"e1_node{i}" for i in range(1, N + 1)],
+        [traj.t] + [e[i][:, 0] for i in range(N)],
+    )
+    return run.seed, first, inf, converged, report.slack
 
 
 def _cmd_reproduce_chua(args) -> int:
@@ -443,14 +422,20 @@ def _cmd_reproduce_chua(args) -> int:
     scenario = replace(
         scenario, m_inv_blocks=result.m_inv_blocks, minv_margin=result.minv_margin
     )
-    seeds = range(args.seeds)
-    # One batch per variant, so one gain pass each; a batch's runs are
-    # released before the next batch starts.
-    records = _export_seeds(out, doc, scenario, P, seeds)
+    runs = [replace(scenario, seed=s) for s in range(args.seeds)]
+    isolated = make_isolated_variant(scenario, 1)
+    # One pass: the networked runs, then the same seeds with node 1 isolated.
+    trajs = simulate_runs(runs + [replace(isolated, seed=run.seed) for run in runs])
+    window = _last_second(scenario.t_grid())
+    iso_maxima = [
+        float(np.max(np.abs(iso.e[0][window]))) for iso in trajs[len(runs):]
+    ]
+    # Every run is released once used, so that only one run's disturbance
+    # samples are held at a time.
+    del trajs[len(runs):]
+    records = [_export_seed(out, doc, P, run, trajs.pop(0)) for run in runs]
     rows = []
-    for (seed, first, inf, converged, slack), iso_max in zip(
-        records, _isolated_maxima(scenario, seeds)
-    ):
+    for (seed, first, inf, converged, slack), iso_max in zip(records, iso_maxima):
         ratio = iso_max / max(inf[0], 1e-300)
         rows.append([seed, *first, *inf, converged, slack, iso_max, ratio])
         print(

@@ -68,12 +68,13 @@ def disturbance_term(net: Network, real, mids: np.ndarray) -> np.ndarray:
 def filter_field(M: np.ndarray, z, K_inv, dx, dg) -> np.ndarray:
     """dz/dt for a stack of states z (S, n + Nn, 1).
 
-    M is the stacked_operator, K_inv the (N, n, n) gain inverses of the
-    stage, and dx (S, n, 1) and dg (S, Nn, 1) the two parts of the stage's
-    disturbance_term.
+    M is the stacked_operator, shared (rows, n + Nn) or one per state
+    (S, rows, n + Nn); K_inv the gain inverses of the stage, shared
+    (N, n, n) or one set per state (S, N, n, n); and dx (S, n, 1) and
+    dg (S, Nn, 1) the two parts of the stage's disturbance_term.
     """
     N, n = K_inv.shape[-3], K_inv.shape[-1]
-    m = M.shape[1]
+    m = M.shape[-1]
     y = np.matmul(M, z)
     dz = y[:, :m]
     dz[:, :n] += dx

@@ -5,9 +5,10 @@ The information-form gain K of a node evolves by
     dK/dt = S - K Q K - A^T K - K A,   S = C^T R^-1 C + sum_j W^T U^-1 W - M^-1
 
 with K(0) = Xcal. This module owns that equation: riccati_rhs is its one
-definition and gain_pass its one integrator, fixed-step classic RK4 over a
-stack of gain equations, which both the coupled engine (sim.simulate_seeds,
-all N nodes at once) and integrate_riccati (one gain) step chunk by chunk.
+definition and gain_pass its one integrator, fixed-step classic RK4 over
+groups of gain equations, which both the coupled engine (sim.simulate_runs,
+all N nodes of every gain variant at once) and integrate_riccati (one gain)
+step chunk by chunk.
 Runs are bit-reproducible, the convergence-order check is meaningful, and
 the grid matches the coupled simulation. K is never inverted here;
 downstream code applies K^-1 through its Cholesky factor L
@@ -63,7 +64,7 @@ CHUNK_BYTES = 128 * 1024
 class RiccatiCoefficients:
     """Constant coefficients of a gain equation, or of a stack of them.
 
-    For a stack, obs_info, comm_info and m_inv are (N, n, n) and A, Q are
+    For a stack, obs_info, comm_info and m_inv are (..., n, n) and A, Q are
     shared; S then holds one quadratic coefficient per gain.
     """
 
@@ -144,7 +145,7 @@ def riccati_rhs(K: np.ndarray, coeffs: RiccatiCoefficients) -> np.ndarray:
 
 
 def chunk_steps(gains_shape) -> int:
-    """Steps per gain_pass chunk for a gain stack of shape (N, n, n)."""
+    """Steps per gain_pass chunk for a gain stack of shape (..., n, n)."""
     return max(1, CHUNK_BYTES // (4 * 8 * int(np.prod(gains_shape))))
 
 
@@ -156,20 +157,23 @@ def gain_pass(
     dt: float,
     t_grid: np.ndarray,
 ):
-    """RK4 steps k0..k1-1 of a stack of gain equations from the gains Ks[:, k0].
+    """RK4 steps k0..k1-1 of G groups of N gain equations from the gains Ks[:, :, k0].
 
-    Ks is (N, len(t_grid), n, n); each accepted gain is re-symmetrized and
-    written to Ks[:, k + 1]. Returns the stage gains, shape
-    (steps, 4, N, n, n) in step order; the smallest eigenvalue of the finite
-    accepted gains (None when there are none), from one batched eigvalsh;
-    and the first failure at a grid point as (step offset, 4, error), or
-    None. The 4 orders it after the four stages of its step. The error is
+    Ks is (G, N, len(t_grid), n, n) and the coefficients broadcast against
+    (G, N, n, n); a group is one gain system, such as the N nodes of one
+    network. Each accepted gain is re-symmetrized and written to
+    Ks[:, :, k + 1]. Returns the stage gains, shape (steps, 4, G, N, n, n) in
+    step order; each group's smallest eigenvalue of its finite accepted
+    gains, shape (G,) (None when there are none), from one batched eigvalsh;
+    and the first failure at a grid point as (step offset, 4, error, group),
+    or None. The 4 orders it after the four stages of its step; of the
+    groups failing at that grid point, the first is named. The error is
     NonFinite when a gain turned non-finite, which ends the pass after that
-    step, or LostPositivity when a finite gain at an earlier grid point is
-    not positive definite.
+    step, or LostPositivity, carrying the group's smallest eigenvalue, when
+    a finite gain at an earlier grid point is not positive definite.
     """
     h2, h6 = 0.5 * dt, dt / 6.0
-    K = Ks[:, k0]
+    K = Ks[:, :, k0]
     stages = np.empty((k1 - k0, 4) + K.shape)
     done, failure = k1 - k0, None
     for k in range(k0, k1):
@@ -183,20 +187,23 @@ def gain_pass(
         st[3] = K + dt * dK3
         dK4 = riccati_rhs(st[3], coeffs)
         K = K + h6 * (dK1 + 2.0 * dK2 + 2.0 * dK3 + dK4)
-        K = 0.5 * (K + np.transpose(K, (0, 2, 1)))
-        Ks[:, k + 1] = K
+        K = 0.5 * (K + K.swapaxes(-1, -2))
+        Ks[:, :, k + 1] = K
         if not np.isfinite(K).all():
-            done, failure = k - k0, (k - k0, 4, NonFinite(float(t_grid[k + 1])))
+            group = int(np.flatnonzero(~np.isfinite(K).all(axis=(1, 2, 3)))[0])
+            done, failure = k - k0, (k - k0, 4, NonFinite(float(t_grid[k + 1])), group)
             stages = stages[:done + 1]
             break
-    grid = Ks[:, k0 + 1:k0 + 1 + done]
+    grid = Ks[:, :, k0 + 1:k0 + 1 + done]
     min_eigs = np.linalg.eigvalsh(grid)[..., 0]
-    lost = np.flatnonzero((min_eigs <= definiteness_threshold(grid)).any(axis=0))
-    if lost.size:
-        c = int(lost[0])
-        lost_at = LostPositivity(float(t_grid[k0 + c + 1]), float(min_eigs[:, c].min()))
-        failure = (c, 4, lost_at)
-    return stages, (float(min_eigs.min()) if done else None), failure
+    lost = (min_eigs <= definiteness_threshold(grid)).any(axis=1)
+    cols = np.flatnonzero(lost.any(axis=0))
+    if cols.size:
+        c = int(cols[0])
+        group = int(np.flatnonzero(lost[:, c])[0])
+        lost_at = LostPositivity(float(t_grid[k0 + c + 1]), float(min_eigs[group, :, c].min()))
+        failure = (c, 4, lost_at, group)
+    return stages, (min_eigs.min(axis=(1, 2)) if done else None), failure
 
 
 def _check_uniform_grid(t_grid: np.ndarray) -> float:
@@ -215,7 +222,7 @@ def integrate_riccati(
 ) -> GainTrajectory:
     """Integrate the gain equation with classic RK4 on a uniform grid.
 
-    Steps it through gain_pass as a one-gain stack, in chunks of
+    Steps it through gain_pass as one group of one gain, in chunks of
     CHUNK_BYTES, so the gains are bit for bit those of the coupled engine.
     LostPositivity or NonFinite carry the first failing grid time; at one
     grid point non-finite is checked before positivity.
@@ -226,9 +233,11 @@ def integrate_riccati(
     out = np.empty((t_grid.size,) + K.shape)
     out[0] = K
     steps = t_grid.size - 1
-    chunk = chunk_steps((1,) + K.shape)
+    chunk = chunk_steps(K.shape)
     for k0 in range(0, steps, chunk):
-        _, _, failure = gain_pass(coeffs, out[None], k0, min(k0 + chunk, steps), dt, t_grid)
+        _, _, failure = gain_pass(
+            coeffs, out[None, None], k0, min(k0 + chunk, steps), dt, t_grid
+        )
         if failure is not None:
             raise failure[2]
     return GainTrajectory(t=t_grid.copy(), K=out)

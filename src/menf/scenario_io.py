@@ -334,12 +334,17 @@ def document_to_network(doc: dict) -> Network:
 
 
 def document_to_scenario(
-    doc: dict, m_inv_blocks=None, minv_margin: float | None = None
+    doc: dict,
+    m_inv_blocks=None,
+    minv_margin: float | None = None,
+    m_inv_source: str = "M_inv",
 ) -> Scenario:
     """Build the whole Scenario of a document, checking every rule.
 
     M^-1 blocks come from the argument, else from an explicit tuning.M /
     tuning.M_inv section, else none: simulate then raises MissingTuning.
+    m_inv_source names where argument blocks came from (such as
+    "t.yaml: tuned.M_inv"); errors in them are reported there.
     """
     net = document_to_network(doc)
     sim = doc["sim"]
@@ -363,7 +368,7 @@ def document_to_scenario(
         specs.append(_build(f"disturbances[{k}]", DisturbanceSpec, **kwargs))
 
     # Where the M^-1 blocks came from; Scenario's own checks name every other part.
-    m_key = "M_inv"
+    m_key = m_inv_source
     tuning = doc.get("tuning", {})
     if m_inv_blocks is None and "M_inv" in tuning:
         m_inv_blocks, m_key = tuning["M_inv"], "tuning.M_inv"

@@ -3,32 +3,39 @@
 One engine step advances the plant state, all N estimates and all N gains
 with the classic RK4 scheme; measurements and neighbor signals are formed
 from the *stage* values of x and xhat_j, so the coupled system is
-integrated as a single vector field. The engine, simulate_seeds, runs it
-for a batch of seeds in two passes over bounded chunks of steps, because
-the gains K_i(t) need no data and so are the same for every seed:
+integrated as a single vector field. The engine, simulate_runs, runs it for
+a batch of runs that share the plant, N, n, T and dt, in two passes over
+bounded chunks of steps. The gains K_i(t) need no data, so they depend on
+a run only through its gain variant, its set of gain coefficients and K0:
+the repeated seeds of a scenario are one variant, and an isolated copy of a
+network (make_isolated_variant) is another.
 
 1. Gain pass, once per chunk for the whole batch: riccati.gain_pass, the
-   package's one gain stepper, runs RK4 on the N gain equations alone,
-   keeping the four stage gains of every step of the chunk and guarding
-   positivity at the chunk's grid points with one batched eigvalsh. One
-   batched Cholesky then factors all stage gains (its failure is
-   SingularGain) and gives each K^-1 = L^-T L^-1.
-2. State pass. The same steps for every seed's z = [x; xhat_1; ...; xhat_N],
+   package's one gain stepper, runs RK4 on the N gain equations of every
+   variant at once, stacked as (V, N, n, n), keeping the four stage gains
+   of every step of the chunk and guarding positivity at the chunk's grid
+   points with one batched eigvalsh. One batched Cholesky then factors all
+   stage gains (its failure is SingularGain) and gives each
+   K^-1 = L^-T L^-1.
+2. State pass. The same steps for every run's z = [x; xhat_1; ...; xhat_N],
    stacked as (S, m, 1), through filters.filter_field: every stage's
-   innovations are one mat-vec per seed with a constant stacked operator
-   plus a per-step disturbance term, and K^-1 comes from the cached stage
-   inverses. Each seed's bits are those of a run on its own. simulate is
-   the batch of one.
+   innovations are one mat-vec per run with the stacked operator of its
+   network plus a per-step disturbance term, and K^-1 comes from the
+   cached stage inverses of its variant, gathered per run. Each run's bits
+   are those of a run on its own. simulate and simulate_seeds are batches
+   of this engine.
 
 A chunk holds riccati.CHUNK_BYTES (128 KB) of stage gains: enough to
 amortize the batched calls over tens to hundreds of steps, and small
 because the chunk buffers add directly to the peak resident memory of a
 run, which the benchmark bounds at +5%. The disturbance term is evaluated
-per seed for a block of whole chunks of at most DISTURBANCE_BYTES, so
-apart from the stored states and grid samples no buffer spans the whole
-grid. Failures keep the timestamps of a step-by-step integration: on a
-failed chunk the earliest event in step order wins (stage factorizations,
-then non-finite values, then positivity at the next grid point).
+per run for a block of whole chunks of at most DISTURBANCE_BYTES, so apart
+from the stored states and gains no buffer spans the whole grid; each run
+stores its states in its own array, and its grid samples are derived on
+first access. Failures keep the timestamps of a step-by-step integration:
+on a failed chunk the earliest event in step order wins (stage
+factorizations, then non-finite values, then positivity at the next grid
+point), and a run fails with its own variant's gain failure.
 
 All built-in disturbance kinds (zero, pulse, held-gaussian) are piecewise
 constant with breakpoints snapped to the grid. Each signal is evaluated
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -412,18 +420,35 @@ def realize_disturbances(scenario: Scenario) -> RealizedDisturbances:
 @dataclass
 class Trajectories:
     """Grid-sampled output of one run. Errors are always recomputed from
-    xhat - x, never stored."""
+    xhat - x, never stored. The disturbance samples at the grid points are
+    derived from the realization on first access and cached."""
 
     t: np.ndarray                       # (steps+1,)
     x: np.ndarray                       # (steps+1, n)
     xhat: np.ndarray                    # (N, steps+1, n)
     K: np.ndarray                       # (N, steps+1, n, n)
-    w_samples: np.ndarray               # (steps+1, q)
-    v_samples: dict[int, np.ndarray]
-    eps_samples: dict[tuple[int, int], np.ndarray]
     realization: RealizedDisturbances
     network: Network
     hypotheses: dict = field(default_factory=dict)
+
+    @cached_property
+    def _samples(self):
+        return self.realization.evaluate(self.t, closed=True)
+
+    @property
+    def w_samples(self) -> np.ndarray:
+        """(steps+1, q) samples of w."""
+        return self._samples[0]
+
+    @property
+    def v_samples(self) -> dict[int, np.ndarray]:
+        """{i: (steps+1, p_i) samples of v_i}."""
+        return self._samples[1]
+
+    @property
+    def eps_samples(self) -> dict[tuple[int, int], np.ndarray]:
+        """{(i, j): (steps+1, m_ij) samples of eps_ij}."""
+        return self._samples[2]
 
     @property
     def e(self) -> np.ndarray:
@@ -452,7 +477,7 @@ class ErrorTrajectories:
 # Engine
 # ---------------------------------------------------------------------------
 
-# Byte budget per seed of the disturbance term held at once. Evaluating it
+# Byte budget per run of the disturbance term held at once. Evaluating it
 # costs a few numpy calls per channel, so it spans many gain chunks on
 # networks with many channels and short chunks.
 DISTURBANCE_BYTES = 256 * 1024
@@ -486,109 +511,198 @@ def _inverses(stages: np.ndarray) -> np.ndarray:
 
 
 def _stage_inverses(stages: np.ndarray, k0: int, dt: float):
-    """Inverses of every stage gain of a chunk, flattened to (4 * steps, N, n, n)
-    in step order.
+    """Inverses of every stage gain of a chunk, flattened to
+    (4 * steps, G, N, n, n) in step order.
 
     When a stage gain is not positive definite, returns the inverses of the
-    stages before the first such stage together with its SingularGain.
+    stages before the first such stage together with (step offset, stage,
+    SingularGain, group), naming the first group failing at that stage.
     """
     flat = stages.reshape((-1,) + stages.shape[2:])
     try:
         return _inverses(flat), None
     except np.linalg.LinAlgError:
         pass
-    for f, K in enumerate(flat):
-        try:
-            np.linalg.cholesky(K)
-        except np.linalg.LinAlgError as exc:
-            k, stage = divmod(f, 4)
-            t = (k0 + k) * dt + _STAGE_OFFSETS[stage] * dt
-            error = SingularGain(f"at t={t:.6g}: {exc}")
-            error.__cause__ = exc
-            return _inverses(flat[:f]), (k, stage, error)
+    for f, groups in enumerate(flat):
+        for g, K in enumerate(groups):
+            try:
+                np.linalg.cholesky(K)
+            except np.linalg.LinAlgError as exc:
+                k, stage = divmod(f, 4)
+                t = (k0 + k) * dt + _STAGE_OFFSETS[stage] * dt
+                error = SingularGain(f"at t={t:.6g}: {exc}")
+                error.__cause__ = exc
+                return _inverses(flat[:f]), (k, stage, error, g)
     raise AssertionError("batched Cholesky failed on gains that factor one by one")
+
+
+def _require_shared_grid(scenarios: list[Scenario]) -> None:
+    """DimensionMismatch naming the first property a run does not share
+    with the first run: the plant (A, B), N, n, T or dt."""
+
+    def shared(sc: Scenario):
+        net = sc.network
+        return {"N": net.N, "n": net.n, "T": sc.T, "dt": sc.dt,
+                "plant A": net.plant.A, "plant B": net.plant.B}
+
+    first = shared(scenarios[0])
+    for r, sc in enumerate(scenarios[1:], start=1):
+        for what, value in shared(sc).items():
+            if not np.array_equal(value, first[what]):
+                raise DimensionMismatch(
+                    f"run {r} differs from run 0 in {what}; a batch of runs must "
+                    "share the plant (A, B), N, n, T and dt"
+                )
 
 
 def simulate(scenario: Scenario) -> Trajectories:
     """Run the coupled plant / filter / gain integration of one scenario.
 
-    Deterministic given the scenario seed; simulate_seeds(scenario,
-    [scenario.seed])[0]. Raises MissingTuning when no M^-1 blocks are fixed,
-    and propagates LostPositivity / SingularGain / NonFinite with the failing
-    timestamp: the earliest failure in step order, exactly as a step-by-step
+    Deterministic given the scenario seed; simulate_runs([scenario])[0].
+    Raises MissingTuning when no M^-1 blocks are fixed, and propagates
+    LostPositivity / SingularGain / NonFinite with the failing timestamp:
+    the earliest failure in step order, exactly as a step-by-step
     integration would meet it.
     """
-    return simulate_seeds(scenario, [scenario.seed])[0]
+    return simulate_runs([scenario])[0]
 
 
 def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
-    """Run the scenario once per seed, sharing one gain pass.
+    """The scenario once per seed: simulate_runs of its copies with those seeds."""
+    return simulate_runs([replace(scenario, seed=s) for s in seeds])
 
-    Returns the same bits as [simulate(replace(scenario, seed=s)) for s in
-    seeds]. The gains need no data, so each chunk's gain pass, stage
-    inverses and positivity guard run once; then all S seeds step through
-    the chunk together, their states stacked as (S, m, 1) so that every
-    stage is one mat-vec per seed. The returned runs share one read-only
-    gain array K. On failure this raises what the sequential list would:
-    the failure of the first seed, in list order, that fails, with its own
-    type and timestamp. A seed whose state turns non-finite is dropped from
-    the stack together with every seed after it, so failed seeds emit no
-    further numpy warnings.
+
+def simulate_runs(scenarios) -> list[Trajectories]:
+    """Run a batch of scenarios in one engine pass.
+
+    The runs must share the plant (A, B), N, n, T and dt, else
+    DimensionMismatch names what differs; they may differ in links, M^-1,
+    K0, seed and disturbances. Returns the same bits as [simulate(sc) for sc
+    in scenarios]. Every distinct gain variant, a distinct set of gain
+    coefficients and K0, is integrated once, and runs of one variant share
+    one read-only gain array K.
+
+    Configuration errors (DimensionMismatch, and MissingTuning for a run
+    without M^-1) are raised before any run starts, so they win over a
+    failure that an earlier run would meet during integration. Failures
+    during integration raise what the sequential list would: the failure
+    of the first run, in list order, that fails, with its own type and
+    timestamp. A run whose state turns
+    non-finite is dropped together with every run after it, so failed runs
+    emit no further numpy warnings; when a variant's gain fails, the batch
+    is integrated again without the first run of that variant and every run
+    after it.
     """
-    scenarios = [replace(scenario, seed=s) for s in seeds]
+    scenarios = list(scenarios)
     if not scenarios:
         return []
-    net = scenario.network
-    coeffs = RiccatiCoefficients.for_nodes(net, scenario.require_m_inv())
-    reals = [realize_disturbances(sc) for sc in scenarios]
-    n, N = net.n, net.N
+    _require_shared_grid(scenarios)
+    failed = None
+    while True:
+        runs, live, error = _integrate(scenarios)
+        if runs is not None:
+            if failed is not None:
+                raise failed
+            return runs
+        scenarios, failed = scenarios[:live], error
+
+
+def _integrate(scenarios: list[Scenario]):
+    """One pass of simulate_runs: (runs, S, None) when every run completes.
+
+    Raises the failure of the first failing run when a state failure or a
+    failed gain leaves no run, or when the pass completes with a failed run.
+    When a gain variant fails and runs before its first run remain, stops
+    and returns (None, live, error): the first `live` runs have not failed,
+    and error is the failure of run `live`.
+    """
+    S = len(scenarios)
+    first = scenarios[0]
+    n, N = first.network.n, first.network.N
     m = n + N * n
-    dt = scenario.dt
-    steps = scenario.steps
-    t_grid = scenario.t_grid()
+    dt = first.dt
+    steps = first.steps
+    t_grid = first.t_grid()
+    reals = [realize_disturbances(sc) for sc in scenarios]
 
-    K0 = np.stack([np.asarray(b, dtype=float) for b in scenario.gain_initial_blocks()])
-    Ks = np.empty((N, steps + 1, n, n))
-    Ks[:, 0] = K0
-    min_gain_eig = _check_gains(K0, 0.0)
+    # Gain variants in order of first use, so the runs before a variant's
+    # first run use only the variants before it.
+    keys: dict[tuple, int] = {}
+    variants, first_run, run_variant = [], [], []
+    for r, sc in enumerate(scenarios):
+        own = RiccatiCoefficients.for_nodes(sc.network, sc.require_m_inv())
+        K0 = np.stack([np.asarray(b, dtype=float) for b in sc.gain_initial_blocks()])
+        v = keys.setdefault((own.S.tobytes(), K0.tobytes()), len(keys))
+        if v == len(variants):
+            variants.append((own, K0))
+            first_run.append(r)
+        run_variant.append(v)
+    V = len(variants)
+    coeffs = RiccatiCoefficients(
+        A=first.network.plant.A,
+        Q=first.network.plant.Q,
+        **{
+            part: np.stack([getattr(c, part) for c, _ in variants])
+            for part in ("obs_info", "comm_info", "m_inv")
+        },
+    )
+    Ks = np.empty((V, N, steps + 1, n, n))
+    min_gain_eig = np.empty(V)
+    for v, (_, K0) in enumerate(variants):
+        Ks[v, :, 0] = K0
+        try:
+            min_gain_eig[v] = _check_gains(K0, 0.0)
+        except LostPositivity as exc:
+            if v == 0:
+                raise
+            return None, first_run[v], exc
 
-    M = stacked_operator(net)
-    zs = np.empty((len(scenarios), steps + 1, m))
-    zs[:, 0, :n] = [real.x0 for real in reals]
-    zs[:, 0, n:] = np.concatenate([node.xi for node in net.nodes])
-    z = zs[:, 0, :, None].copy()
-    # The first `live` seeds are still integrated; history is their part of zs.
-    live = len(scenarios)
-    history = zs[..., None]
+    # One stacked operator per run, built once per distinct network.
+    operators = {id(sc.network): sc.network for sc in scenarios}
+    operators = {key: stacked_operator(net) for key, net in operators.items()}
+    M = np.stack([operators[id(sc.network)] for sc in scenarios])
+    # Each run owns its states, so a caller can release one run's history
+    # without the others.
+    zs = [np.empty((steps + 1, m)) for _ in scenarios]
+    for zs_r, sc, real in zip(zs, scenarios, reals):
+        zs_r[0, :n] = real.x0
+        zs_r[0, n:] = np.concatenate([node.xi for node in sc.network.nodes])
+    z = np.stack([zs_r[0] for zs_r in zs])[..., None]
+    # The first `live` runs are still integrated; a chunk's states are
+    # gathered in `chunk_z` and then copied to each live run's history.
+    live = S
     failed = None
 
     h2, h6 = 0.5 * dt, dt / 6.0
-    chunk = chunk_steps(K0.shape)
+    chunk = chunk_steps(Ks.shape[:2] + (n, n))
     # The disturbance term covers d_steps steps, a whole number of chunks.
     d_steps = chunk * max(1, DISTURBANCE_BYTES // (chunk * m * 8))
     d_start = d_end = 0
     for k0 in range(0, steps, chunk):
         # Pass 1: gains of the chunk, their grid guard and stage inverses.
-        # A failure is kept as (step offset, order within the step, error);
-        # within a step, stage factorizations come first, then the grid
-        # point after it (non-finite, then positivity).
-        stages, min_eig, grid_failure = gain_pass(
+        # A failure is kept as (step offset, order within the step, error,
+        # variant); within a step, stage factorizations come first, then
+        # the grid point after it (non-finite, then positivity).
+        stages, min_eigs, grid_failure = gain_pass(
             coeffs, Ks, k0, min(k0 + chunk, steps), dt, t_grid
         )
         K_inv, failure = _stage_inverses(stages, k0, dt)
-        if min_eig is not None:
-            min_gain_eig = min(min_gain_eig, min_eig)
+        if min_eigs is not None:
+            min_gain_eig = np.minimum(min_gain_eig, min_eigs)
         events = [ev for ev in (failure, grid_failure) if ev is not None]
-        first = min(events, key=lambda ev: ev[:2]) if events else None
-        end = len(stages) if first is None else first[0] + (first[1] >= 4)
+        first_event = min(events, key=lambda ev: ev[:2]) if events else None
+        end = len(stages) if first_event is None else first_event[0] + (first_event[1] >= 4)
+        # Each live run's inverses, gathered from its variant's.
+        K_inv = K_inv[:, run_variant[:live]]
+        chunk_z = np.empty((end, live, m, 1))
 
-        # Pass 2: every live seed's plant and estimates through the same steps.
+        # Pass 2: every live run's plant and estimates through the same steps.
         if k0 == d_end:
             d_start, d_end = k0, min(k0 + d_steps, steps)
             mids = _midpoints(d_start, d_end, dt)
             d = np.empty((d_end - d_start, live, m, 1))
-            for d_s, real in zip(np.moveaxis(d, 1, 0), reals):
-                d_s[:, :, 0] = disturbance_term(net, real, mids)
+            for d_s, sc, real in zip(np.moveaxis(d, 1, 0), scenarios, reals):
+                d_s[:, :, 0] = disturbance_term(sc.network, real, mids)
             dxs, dgs = d[:, :, :n], d[:, :, n:]
         for c in range(end):
             k = k0 + c
@@ -599,42 +713,47 @@ def simulate_seeds(scenario: Scenario, seeds) -> list[Trajectories]:
             dz3 = filter_field(M, z + h2 * dz2, K_inv[s + 2], dx, dg)
             dz4 = filter_field(M, z + dt * dz3, K_inv[s + 3], dx, dg)
             z = z + h6 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
-            history[:, k + 1] = z
+            chunk_z[c] = z
             if not np.isfinite(z).all():
                 live = int(np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))[0])
                 failed = NonFinite(float(t_grid[k + 1]))
                 if live == 0:
                     raise failed
-                z, dxs, dgs, history = z[:live], dxs[:, :live], dgs[:, :live], history[:live]
-        if first is not None:
-            raise first[2]
+                z, M, K_inv = z[:live], M[:live], K_inv[:, :live]
+                dxs, dgs, chunk_z = dxs[:, :live], dgs[:, :live], chunk_z[:, :live]
+        for r in range(live):
+            zs[r][k0 + 1:k0 + 1 + end] = chunk_z[:, r, :, 0]
+        if first_event is not None:
+            v = first_event[3]
+            if first_run[v] < live:
+                live, failed = first_run[v], first_event[2]
+            if live == 0:
+                raise failed
+            return None, live, failed
     if failed is not None:
         raise failed
 
     t_grid.flags.writeable = False
     Ks.flags.writeable = False
+    gains = list(Ks)
     runs = []
-    for zs_s, real in zip(zs, reals):
-        w_samples, v_samples, eps_samples = real.evaluate(t_grid, closed=True)
+    for sc, zs_s, real, v in zip(scenarios, zs, reals, run_variant):
         runs.append(
             Trajectories(
                 t=t_grid,
                 x=zs_s[:, :n],
                 xhat=np.transpose(zs_s[:, n:].reshape(steps + 1, N, n), (1, 0, 2)),
-                K=Ks,
-                w_samples=w_samples,
-                v_samples=v_samples,
-                eps_samples=eps_samples,
+                K=gains[v],
                 realization=real,
-                network=net,
+                network=sc.network,
                 hypotheses={
-                    "minv_margin": scenario.minv_margin,
+                    "minv_margin": sc.minv_margin,
                     "gains_positive_definite": True,
-                    "min_gain_eigenvalue": min_gain_eig,
+                    "min_gain_eigenvalue": float(min_gain_eig[v]),
                 },
             )
         )
-    return runs
+    return runs, S, None
 
 
 def simulate_error_oracle(
@@ -702,7 +821,10 @@ def make_isolated_variant(scenario: Scenario, node_id: int) -> Scenario:
     neighbor terms); outgoing edges are kept, so the rest of the network
     still receives its estimate. Disturbance channels on removed edges are
     dropped; the stable per-channel seeding keeps all other realizations
-    identical to the networked run.
+    identical to the networked run. The variant shares the plant and grid
+    of its scenario, so simulate_runs takes both in one batch, as
+    `menf reproduce-chua` does: the networked seeds, then the same seeds of
+    the node-1 variant, in one pass.
     """
     net = scenario.network
     kept_edges = tuple(e for e in net.edges if e[0] != node_id)

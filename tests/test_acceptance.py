@@ -22,6 +22,7 @@ from menf import (
     node_feasible,
     simulate,
     simulate_error_oracle,
+    simulate_runs,
     solve_are_stabilizing,
     verify_prop1_limit,
 )
@@ -207,9 +208,11 @@ def test_criterion_08_tuning_certificates(chua_net, chua_P, chua_tuning):
 
 def test_criterion_09_network_benefit(networked_runs):
     worst_ratio = np.inf
-    for seed, scenario, traj, _ in networked_runs:
+    iso_trajs = simulate_runs(
+        [make_isolated_variant(scenario, 1) for _, scenario, _, _ in networked_runs]
+    )
+    for (seed, scenario, traj, _), iso_traj in zip(networked_runs, iso_trajs):
         networked = _max_inf_last_second(traj, 0)
-        iso_traj = simulate(make_isolated_variant(scenario, 1))
         isolated = _max_inf_last_second(iso_traj, 0)
         ratio = isolated / max(networked, 1e-300)
         assert ratio >= 10.0, f"seed {seed}: isolation ratio {ratio:.2f} < 10"

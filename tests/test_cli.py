@@ -379,8 +379,16 @@ TUNE_P0 = "{P0: [[1.0]], ridge: 0.01}"
             id="tuned-empty-M_inv",
         ),
         pytest.param(
+            None, None, ["--tuned", "tuned: {M_inv: [[[-0.01]]], minv_margin: 0.1}\n"],
+            "tuned.yaml: tuned.M_inv", id="tuned-M_inv-negative",
+        ),
+        pytest.param(
             None, None, ["manifest.yaml", lambda text: "scenario: [[1\n"], "manifest.yaml:",
             id="manifest-malformed",
+        ),
+        pytest.param(
+            None, None, ["manifest.yaml", lambda text: text.replace("- - [0.01]", "- - [-0.01]")],
+            "manifest.yaml: m_inv", id="manifest-m_inv-negative",
         ),
         pytest.param(
             None, None, ["manifest.yaml", lambda text: text.replace("m_inv:", "M:")],

@@ -178,12 +178,12 @@ def test_singular_gain_detected():
     K_bad = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(SingularGain):
         _spd_solve_batched(np.stack([np.eye(3), K_bad]), np.zeros((2, 3)), 0.0)
-    # three steps of two nodes' stage gains; node 2 fails at the midpoint
-    # stage of the second step
-    stages = np.tile(np.eye(3), (3, 4, 2, 1, 1))
-    stages[1, 2, 1] = K_bad
-    inverses, (step, stage, error) = _stage_inverses(stages, 10, 1e-3)
-    assert (step, stage) == (1, 2)
+    # three steps of two gain variants of two nodes' stage gains; node 2 of
+    # the second variant fails at the midpoint stage of the second step
+    stages = np.tile(np.eye(3), (3, 4, 2, 2, 1, 1))
+    stages[1, 2, 1, 1] = K_bad
+    inverses, (step, stage, error, variant) = _stage_inverses(stages, 10, 1e-3)
+    assert (step, stage, variant) == (1, 2, 1)
     assert len(inverses) == 4 + 2
     assert isinstance(error, SingularGain)
     assert "at t=0.0115:" in str(error)

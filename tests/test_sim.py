@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from menf import (
     DimensionMismatch,
     DisturbanceSpec,
+    Infeasible,
     LostPositivity,
+    MenfError,
     MissingTuning,
     NeighborLink,
     NodeModel,
@@ -19,11 +21,15 @@ from menf import (
     SingularGain,
     X0Law,
     build_network,
+    check_hinf,
+    laplacian_P,
     make_isolated_variant,
     realize_disturbances,
     simulate,
     simulate_error_oracle,
+    simulate_runs,
     simulate_seeds,
+    tune_scalar,
 )
 from conftest import (
     CHUA_A,
@@ -332,9 +338,10 @@ def test_singular_gain_timestamp_two_nodes(m_inv_levels, when):
 # Stacked innovation operator against the per-node error dynamics
 # ---------------------------------------------------------------------------
 
-def _random_network(rng, N, n):
-    """Random plant and nodes with random directed edges; links have
-    non-square, non-identity W and non-identity F."""
+def _random_network(rng, N, n, ring=False):
+    """Random plant and nodes with random directed edges, among them the
+    ring i <- i + 1 (mod N) when ring is set; links have non-square,
+    non-identity W and non-identity F."""
     q = int(rng.integers(1, n + 1))
     plant = PlantModel(
         A=0.5 * rng.standard_normal((n, n)) - np.eye(n),
@@ -344,7 +351,7 @@ def _random_network(rng, N, n):
         (i, j)
         for i in range(1, N + 1)
         for j in range(1, N + 1)
-        if i != j and rng.random() < 0.6
+        if i != j and (rng.random() < 0.6 or (ring and j == i % N + 1))
     ]
     nodes = []
     for i in range(1, N + 1):
@@ -522,3 +529,176 @@ def test_simulate_seeds_gain_failure_beats_later_state_failure():
     with np.errstate(all="ignore"), pytest.raises(SingularGain) as info:
         simulate_seeds(scenario, [5, 6, 7])
     assert "at t=0.0005:" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# simulate_runs: gain variants in one pass
+# ---------------------------------------------------------------------------
+
+def _random_scenario(rng, net, seed, T=0.05):
+    return Scenario(
+        network=net,
+        T=T,
+        dt=1e-3,
+        seed=seed,
+        x0_law=X0Law(kind="gaussian", mean=0.0, std=1.0),
+        disturbances=_random_channels(rng, net, 1e-3),
+        m_inv_blocks=tuple(0.01 * np.eye(net.n) for _ in range(net.N)),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    N=st.integers(1, 4),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 2),
+    node=st.integers(1, 4),
+    order=st.permutations(range(4)),
+)
+def test_simulate_runs_equals_one_run_per_scenario(N, n, seed, node, order):
+    # a network, its isolated variant and a second seed of each, in any order
+    rng = np.random.default_rng(seed)
+    scenario = _random_scenario(rng, _random_network(rng, N, n), seed)
+    isolated = make_isolated_variant(scenario, min(node, N))
+    pool = [scenario, isolated, replace(scenario, seed=seed + 1), replace(isolated, seed=seed + 1)]
+    batch = [pool[k] for k in order]
+    runs = simulate_runs(batch)
+    assert len(runs) == len(batch)
+    for sc, run in zip(batch, runs):
+        _assert_same_run(run, simulate(sc))
+    # runs of one gain variant share its read-only gains, and only those
+    for a, ka in zip(order, runs):
+        for b, kb in zip(order, runs):
+            assert (ka.K is kb.K) == (a % 2 == b % 2)
+        assert not ka.K.flags.writeable
+
+
+def test_simulate_runs_reports_each_variants_own_gain_minimum(chua_tuning):
+    # on Chua, isolating node 1 lowers the smallest gain eigenvalue by 0.057
+    scenario = replace(chua_scenario(0, chua_tuning), T=0.5)
+    batch = [scenario, make_isolated_variant(scenario, 1)]
+    runs = simulate_runs(batch)
+    own = [simulate(sc).hypotheses for sc in batch]
+    assert [run.hypotheses for run in runs] == own
+    assert own[0]["min_gain_eigenvalue"] > own[1]["min_gain_eigenvalue"] + 0.05
+
+
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        (lambda sc: replace(sc, dt=2e-3), "dt"),
+        (lambda sc: replace(sc, T=0.1), "T"),
+        (
+            lambda sc: replace(
+                sc, network=make_two_node_network(n=1), m_inv_blocks=sc.m_inv_blocks * 2
+            ),
+            "N",
+        ),
+        (lambda sc: replace(sc, network=make_single_node_network(a=-2.0)), "plant A"),
+    ],
+)
+def test_simulate_runs_rejects_runs_that_do_not_share_the_grid(change, what):
+    scenario = _failing_scenario(make_single_node_network(), [np.zeros((1, 1))], [0.0], T=0.05)
+    with pytest.raises(DimensionMismatch, match=f"run 1 differs from run 0 in {what};"):
+        simulate_runs([scenario, change(scenario)])
+
+
+def _sequential_failure_of(scenarios):
+    with np.errstate(all="ignore"):
+        try:
+            [simulate(sc) for sc in scenarios]
+        except MenfError as exc:
+            return exc
+    raise AssertionError("no run failed")
+
+
+def _variant_failure_batches():
+    # A: x overflows at a seed-dependent t > 1 s. B: the same plant with an
+    # M^-1 whose gain fails at t = 0.0005; E: with K0 = 0, which fails at
+    # t = 0. C: its gain loses positivity at t = 0.277; D: the same plant
+    # with gains that stay positive definite.
+    a = _blow_up_scenario()
+    b = replace(a, seed=1, m_inv_blocks=(1e6 * np.eye(1),))
+    e = replace(a, seed=2, K0_blocks=(np.zeros((1, 1)),))
+    net = make_single_node_network(a=50.0)
+    c = _failing_scenario(net, [np.eye(1)], [0.0])
+    d = _failing_scenario(net, [np.zeros((1, 1))], [0.0])
+    return {
+        "A-B": ([a, b], NonFinite),
+        "B-A": ([b, a], SingularGain),
+        "A-B-A": ([a, b, replace(a, seed=3)], NonFinite),
+        "A-E": ([a, e], NonFinite),
+        "E-A": ([e, a], LostPositivity),
+        "D-C": ([d, c], LostPositivity),
+        "C-D": ([c, d], LostPositivity),
+        "D-C-D": ([d, c, replace(d, seed=2)], LostPositivity),
+    }
+
+
+@pytest.mark.parametrize("name", list(_variant_failure_batches()))
+def test_simulate_runs_variant_gain_failure_matches_sequential_runs(name):
+    """A batch raises what the first failing run would raise on its own:
+    a gain variant's failure ends its own runs and the runs after them,
+    while earlier runs of other variants continue on their own gains."""
+    batch, kind = _variant_failure_batches()[name]
+    expected = _sequential_failure_of(batch)
+    assert type(expected) is kind
+    with np.errstate(all="ignore"), pytest.raises(type(expected)) as info:
+        simulate_runs(batch)
+    assert str(info.value) == str(expected)
+    for attr in ("t", "min_eigenvalue"):
+        assert getattr(info.value, attr, None) == getattr(expected, attr, None)
+
+
+def test_simulate_runs_raises_configuration_errors_before_any_run():
+    # run 0 alone would overflow at t > 1 s; run 1 has no M^-1 to integrate
+    a = _blow_up_scenario()
+    batch = [a, replace(a, seed=1, m_inv_blocks=None)]
+    assert type(_sequential_failure_of(batch)) is NonFinite
+    with pytest.raises(MissingTuning):
+        simulate_runs(batch)
+
+
+def _random_pulses(rng, net, dt):
+    """A pulse on most channels, each with its own amplitude and support."""
+    where = [{"target": "w"}]
+    where += [{"target": "v", "node": i} for i in net.node_ids()]
+    where += [{"target": "eps", "edge": e} for e in net.edges]
+    return tuple(
+        DisturbanceSpec(
+            kind="pulse", amplitude=float(rng.uniform(-2, 2)),
+            start=int(rng.integers(0, 100)) * dt, duration=int(rng.integers(1, 100)) * dt,
+            **loc,
+        )
+        for loc in where
+        if rng.random() < 0.7
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(N=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_certified_tuning_meets_the_attenuation_bound(N, n, seed):
+    """The theorem as a property: on a strongly connected network where
+    tune_scalar certifies M and the gains stay positive definite, every run
+    keeps int e^T P e dt within its disturbance budget."""
+    rng = np.random.default_rng(seed)
+    net = _random_network(rng, N, n, ring=True)
+    P = laplacian_P(net, np.eye(n), ridge=0.01)
+    dt = 1e-3
+    try:
+        tuning = tune_scalar(net, P)
+        batch = [
+            Scenario(
+                network=net, T=0.3, dt=dt, seed=s,
+                x0_law=X0Law(kind="gaussian", mean=0.0, std=1.0),
+                disturbances=_random_pulses(rng, net, dt),
+                m_inv_blocks=tuning.m_inv_blocks, minv_margin=tuning.minv_margin,
+            )
+            for s in range(3)
+        ]
+        runs = simulate_runs(batch)
+    except (Infeasible, LostPositivity, SingularGain):
+        reject()  # outside the theorem's hypotheses
+    for scenario, traj in zip(batch, runs):
+        report = check_hinf(scenario, traj, P)
+        assert report.slack >= 0.0, (report.slack, report.rhs)

@@ -13,6 +13,7 @@ from menf import (
     energy_cost,
     laplacian_P,
     lhs_cost,
+    realize_disturbances,
     rhs_budget,
     simulate,
 )
@@ -21,19 +22,20 @@ from conftest import make_single_node_network, make_two_node_network
 
 
 def synthetic_traj(net, t, x, xhat, hypotheses=None):
-    steps1 = len(t)
-    zeros_w = np.zeros((steps1, net.plant.q))
-    v = {i: np.zeros((steps1, net.node(i).p)) for i in net.node_ids()}
-    eps = {e: np.zeros((steps1, net.link(*e).m)) for e in net.edges}
+    """Given states on the grid t, with every disturbance zero."""
+    quiet = Scenario(
+        network=net,
+        T=float(t[-1]),
+        dt=float(t[1] - t[0]),
+        seed=0,
+        x0_law=X0Law(kind="fixed", value=np.zeros(net.n)),
+    )
     return Trajectories(
         t=t,
         x=x,
         xhat=xhat,
-        K=np.zeros((net.N, steps1, net.n, net.n)),
-        w_samples=zeros_w,
-        v_samples=v,
-        eps_samples=eps,
-        realization=None,
+        K=np.zeros((net.N, len(t), net.n, net.n)),
+        realization=realize_disturbances(quiet),
         network=net,
         hypotheses=hypotheses or {},
     )
