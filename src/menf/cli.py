@@ -91,6 +91,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -494,7 +501,7 @@ def _build_parser() -> _Parser:
         "reproduce-chua", help="full pipeline on the built-in five-node Chua experiment"
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_positive_int, default=10)
     p.set_defaults(func=_cmd_reproduce_chua)
 
     return parser

@@ -32,10 +32,18 @@ run, which the benchmark bounds at +5%. The disturbance term is evaluated
 per run for a block of whole chunks of at most DISTURBANCE_BYTES, so apart
 from the stored states and gains no buffer spans the whole grid; each run
 stores its states in its own array, and its grid samples are derived on
-first access. Failures keep the timestamps of a step-by-step integration:
-on a failed chunk the earliest event in step order wins (stage
-factorizations, then non-finite values, then positivity at the next grid
-point), and a run fails with its own variant's gain failure.
+first access.
+
+Failures keep the timestamps of a step-by-step integration, by one rule:
+a failure of run r ends run r and every run after it, and ends the chunk
+at the step where it happens. A run fails when its state turns non-finite
+or when its variant's gain fails: in step order, a stage factorization,
+then non-finite gains or lost positivity at the next grid point. The next
+chunk starts at that step with the runs before r and the first V variants,
+the ones they use, since variants are numbered in order of first use. So
+no run's state is stepped twice, only the gain steps after the failure in
+its chunk are stepped again for the variants that go on, and the batch
+raises the failure of its first failing run.
 
 All built-in disturbance kinds (zero, pulse, held-gaussian) are piecewise
 constant with breakpoints snapped to the grid. Each signal is evaluated
@@ -68,7 +76,7 @@ from .errors import (
     SingularGain,
 )
 from .filters import disturbance_term, error_inner, filter_field, stacked_operator
-from .linalg import definiteness_threshold, require_psd, symmetrize
+from .linalg import definiteness_threshold, require_psd, require_spd, symmetrize
 from .model import Network, NodeModel, build_network
 from .riccati import RiccatiCoefficients, chunk_steps, gain_pass, riccati_rhs
 
@@ -234,17 +242,18 @@ class Scenario:
 
     m_inv_blocks are the per-node M_i^-1 matrices (PSD; zero allowed). They
     must be fixed before simulation -- the gain equations are
-    data-independent and could equally be solved offline.
+    data-independent and could equally be solved offline. K0_blocks are the
+    initial gains K_i(0), positive definite; when unset, each node's Xcal.
 
     Construction checks everything a run needs of its parts, so a Scenario
     that exists is runnable: T a whole number of dt steps, a fixed x0 of
     dimension n, every disturbance on a channel of the network with a pulse
     amplitude that fits it and a hold of at least one step after snapping,
-    and N positive semidefinite n x n blocks of M^-1 and K0. A failed check
-    raises DimensionMismatch or NotPositiveDefinite carrying the key path
-    of the part ("sim", "sim.x0_law", "disturbances[k]", "gains.K0"); the
-    M^-1 checks carry none, since those blocks may come from outside the
-    scenario document.
+    N positive semidefinite n x n blocks of M^-1 and N positive definite
+    n x n blocks of K0. A failed check raises DimensionMismatch or
+    NotPositiveDefinite carrying the key path of the part ("sim",
+    "sim.x0_law", "disturbances[k]", "gains.K0"); the M^-1 checks carry
+    none, since those blocks may come from outside the scenario document.
     """
 
     network: Network
@@ -288,9 +297,9 @@ class Scenario:
                 raise DimensionMismatch(
                     f"hold interval {spec.hold} snaps to zero steps of dt={self.dt}"
                 ).at(where)
-        for name, key, blocks in (
-            ("M_inv", None, self.m_inv_blocks),
-            ("K0", "gains.K0", self.K0_blocks),
+        for name, key, blocks, require in (
+            ("M_inv", None, self.m_inv_blocks, require_psd),
+            ("K0", "gains.K0", self.K0_blocks, require_spd),
         ):
             if blocks is None:
                 continue
@@ -301,7 +310,7 @@ class Scenario:
                 ).at(key)
             for i, b in enumerate(blocks, start=1):
                 try:
-                    require_psd(b, f"{name}_{i}")
+                    require(b, f"{name}_{i}")
                 except (DimensionMismatch, NotPositiveDefinite) as exc:
                     raise exc.at(key)
 
@@ -496,12 +505,11 @@ def _spd_solve_batched(K: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
     return np.linalg.solve(np.transpose(L, (0, 2, 1)), y)[:, :, 0]
 
 
-def _check_gains(K: np.ndarray, t: float) -> float:
-    """Positive-definiteness guard at an accepted grid point; returns min eig."""
+def _check_gains(K: np.ndarray, t: float) -> None:
+    """Positive-definiteness guard at an accepted grid point."""
     min_eigs = np.linalg.eigvalsh(K)[..., 0]
     if not (min_eigs > definiteness_threshold(K)).all():
         raise LostPositivity(t, float(min_eigs.min()))
-    return float(min_eigs.min())
 
 
 def _inverses(stages: np.ndarray) -> np.ndarray:
@@ -587,36 +595,15 @@ def simulate_runs(scenarios) -> list[Trajectories]:
     failure that an earlier run would meet during integration. Failures
     during integration raise what the sequential list would: the failure
     of the first run, in list order, that fails, with its own type and
-    timestamp. A run whose state turns
-    non-finite is dropped together with every run after it, so failed runs
-    emit no further numpy warnings; when a variant's gain fails, the batch
-    is integrated again without the first run of that variant and every run
-    after it.
+    timestamp. A failure of run r, its state turning non-finite or its
+    variant's gain failing, ends run r and every run after it at the step
+    where it happens; the runs before r go on from that step, so failed
+    runs emit no further numpy warnings and no run's state is stepped twice.
     """
     scenarios = list(scenarios)
     if not scenarios:
         return []
     _require_shared_grid(scenarios)
-    failed = None
-    while True:
-        runs, live, error = _integrate(scenarios)
-        if runs is not None:
-            if failed is not None:
-                raise failed
-            return runs
-        scenarios, failed = scenarios[:live], error
-
-
-def _integrate(scenarios: list[Scenario]):
-    """One pass of simulate_runs: (runs, S, None) when every run completes.
-
-    Raises the failure of the first failing run when a state failure or a
-    failed gain leaves no run, or when the pass completes with a failed run.
-    When a gain variant fails and runs before its first run remain, stops
-    and returns (None, live, error): the first `live` runs have not failed,
-    and error is the failure of run `live`.
-    """
-    S = len(scenarios)
     first = scenarios[0]
     n, N = first.network.n, first.network.N
     m = n + N * n
@@ -626,7 +613,8 @@ def _integrate(scenarios: list[Scenario]):
     reals = [realize_disturbances(sc) for sc in scenarios]
 
     # Gain variants in order of first use, so the runs before a variant's
-    # first run use only the variants before it.
+    # first run use only the variants before it: the runs before run r use
+    # the first V variants, those with first_run[v] < r.
     keys: dict[tuple, int] = {}
     variants, first_run, run_variant = [], [], []
     for r, sc in enumerate(scenarios):
@@ -637,25 +625,14 @@ def _integrate(scenarios: list[Scenario]):
             variants.append((own, K0))
             first_run.append(r)
         run_variant.append(v)
-    V = len(variants)
-    coeffs = RiccatiCoefficients(
-        A=first.network.plant.A,
-        Q=first.network.plant.Q,
-        **{
-            part: np.stack([getattr(c, part) for c, _ in variants])
-            for part in ("obs_info", "comm_info", "m_inv")
-        },
-    )
-    Ks = np.empty((V, N, steps + 1, n, n))
-    min_gain_eig = np.empty(V)
-    for v, (_, K0) in enumerate(variants):
-        Ks[v, :, 0] = K0
-        try:
-            min_gain_eig[v] = _check_gains(K0, 0.0)
-        except LostPositivity as exc:
-            if v == 0:
-                raise
-            return None, first_run[v], exc
+    parts = {
+        part: np.stack([getattr(c, part) for c, _ in variants])
+        for part in ("obs_info", "comm_info", "m_inv")
+    }
+    Ks = np.empty((len(variants), N, steps + 1, n, n))
+    Ks[:, :, 0] = np.stack([K0 for _, K0 in variants])
+    # Scenario requires K0 positive definite, so t = 0 only sets the minimum.
+    min_gain_eig = np.linalg.eigvalsh(Ks[:, :, 0])[..., 0].min(axis=1)
 
     # One stacked operator per run, built once per distinct network.
     operators = {id(sc.network): sc.network for sc in scenarios}
@@ -668,42 +645,55 @@ def _integrate(scenarios: list[Scenario]):
         zs_r[0, :n] = real.x0
         zs_r[0, n:] = np.concatenate([node.xi for node in sc.network.nodes])
     z = np.stack([zs_r[0] for zs_r in zs])[..., None]
-    # The first `live` runs are still integrated; a chunk's states are
-    # gathered in `chunk_z` and then copied to each live run's history.
-    live = S
-    failed = None
+
+    # The first `live` runs have not failed and use the first V variants;
+    # `failed` is the failure of run `live`, the first run that failed.
+    live, V, failed = len(scenarios), len(variants), None
+
+    def cut(r: int, error: Exception) -> None:
+        # r is a live run, so it comes before every run cut earlier
+        nonlocal live, V, failed
+        live, V, failed = r, sum(f < r for f in first_run), error
 
     h2, h6 = 0.5 * dt, dt / 6.0
     chunk = chunk_steps(Ks.shape[:2] + (n, n))
-    # The disturbance term covers d_steps steps, a whole number of chunks.
+    # The disturbance term covers d_steps steps, a whole number of chunks;
+    # a chunk never crosses the end of the block.
     d_steps = chunk * max(1, DISTURBANCE_BYTES // (chunk * m * 8))
-    d_start = d_end = 0
-    for k0 in range(0, steps, chunk):
-        # Pass 1: gains of the chunk, their grid guard and stage inverses.
-        # A failure is kept as (step offset, order within the step, error,
-        # variant); within a step, stage factorizations come first, then
-        # the grid point after it (non-finite, then positivity).
-        stages, min_eigs, grid_failure = gain_pass(
-            coeffs, Ks, k0, min(k0 + chunk, steps), dt, t_grid
-        )
-        K_inv, failure = _stage_inverses(stages, k0, dt)
-        if min_eigs is not None:
-            min_gain_eig = np.minimum(min_gain_eig, min_eigs)
-        events = [ev for ev in (failure, grid_failure) if ev is not None]
-        first_event = min(events, key=lambda ev: ev[:2]) if events else None
-        end = len(stages) if first_event is None else first_event[0] + (first_event[1] >= 4)
-        # Each live run's inverses, gathered from its variant's.
-        K_inv = K_inv[:, run_variant[:live]]
-        chunk_z = np.empty((end, live, m, 1))
-
-        # Pass 2: every live run's plant and estimates through the same steps.
+    k0 = d_start = d_end = 0
+    while k0 < steps and live:
         if k0 == d_end:
             d_start, d_end = k0, min(k0 + d_steps, steps)
             mids = _midpoints(d_start, d_end, dt)
             d = np.empty((d_end - d_start, live, m, 1))
             for d_s, sc, real in zip(np.moveaxis(d, 1, 0), scenarios, reals):
                 d_s[:, :, 0] = disturbance_term(sc.network, real, mids)
-            dxs, dgs = d[:, :, :n], d[:, :, n:]
+        # Pass 1: gains of the chunk, their grid guard and stage inverses.
+        # A failure is kept as (step offset, order within the step, error,
+        # variant); within a step, stage factorizations come first, then
+        # the grid point after it (non-finite, then positivity).
+        coeffs = RiccatiCoefficients(
+            A=first.network.plant.A, Q=first.network.plant.Q,
+            **{part: stack[:V] for part, stack in parts.items()},
+        )
+        stages, min_eigs, grid_failure = gain_pass(
+            coeffs, Ks[:V], k0, min(k0 + chunk, d_end), dt, t_grid
+        )
+        K_inv, stage_failure = _stage_inverses(stages, k0, dt)
+        if min_eigs is not None:
+            min_gain_eig[:V] = np.minimum(min_gain_eig[:V], min_eigs)
+        events = [ev for ev in (stage_failure, grid_failure) if ev is not None]
+        event = min(events, key=lambda ev: ev[:2], default=None)
+        end = len(stages) if event is None else event[0] + (event[1] >= 4)
+
+        # Pass 2: every live run's plant and estimates through the same
+        # steps, each with the stage inverses of its variant, up to the
+        # first step after which a state is not finite.
+        K_inv = K_inv[:, run_variant[:live]]
+        z, M = z[:live], M[:live]
+        dxs, dgs = d[:, :live, :n], d[:, :live, n:]
+        chunk_z = np.empty((end, live, m, 1))
+        done = end
         for c in range(end):
             k = k0 + c
             dx, dg = dxs[k - d_start], dgs[k - d_start]
@@ -715,21 +705,17 @@ def _integrate(scenarios: list[Scenario]):
             z = z + h6 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
             chunk_z[c] = z
             if not np.isfinite(z).all():
-                live = int(np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))[0])
-                failed = NonFinite(float(t_grid[k + 1]))
-                if live == 0:
-                    raise failed
-                z, M, K_inv = z[:live], M[:live], K_inv[:, :live]
-                dxs, dgs, chunk_z = dxs[:, :live], dgs[:, :live], chunk_z[:, :live]
+                r = int(np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))[0])
+                cut(r, NonFinite(float(t_grid[k + 1])))
+                done = c + 1
+                break
         for r in range(live):
-            zs[r][k0 + 1:k0 + 1 + end] = chunk_z[:, r, :, 0]
-        if first_event is not None:
-            v = first_event[3]
-            if first_run[v] < live:
-                live, failed = first_run[v], first_event[2]
-            if live == 0:
-                raise failed
-            return None, live, failed
+            zs[r][k0 + 1:k0 + 1 + done] = chunk_z[:done, r, :, 0]
+        # A gain event past a state failure is met again by the next chunk
+        # if its variant is still integrated.
+        if event is not None and done == end:
+            cut(first_run[event[3]], event[2])
+        k0 += done
     if failed is not None:
         raise failed
 
@@ -753,7 +739,7 @@ def _integrate(scenarios: list[Scenario]):
                 },
             )
         )
-    return runs, S, None
+    return runs
 
 
 def simulate_error_oracle(

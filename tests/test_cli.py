@@ -301,6 +301,14 @@ def test_verify_rejects_bad_embedded_scenario_with_key_path(tmp_path, capsys):
     assert "plant.A" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2", "two"])
+def test_reproduce_chua_rejects_a_bad_seed_count(tmp_path, capsys, seeds):
+    out = tmp_path / "repro"
+    assert main(["reproduce-chua", "--out", str(out), "--seeds", seeds]) == 1
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_chua_seed_matches_simulate(tmp_path):
     repro = tmp_path / "repro"
     assert main(["reproduce-chua", "--out", str(repro), "--seeds", "2"]) == 0
@@ -413,6 +421,7 @@ TUNE_P0 = "{P0: [[1.0]], ridge: 0.01}"
                 ),
                 ("amplitude: 1.0", "amplitude: [1.0, 2.0]", "disturbances[0]", "amplitude-length"),
                 ("tuning:", "gains: {K0: [[[-1.0]]]}\ntuning:", "gains.K0", "K0-negative"),
+                ("tuning:", "gains: {K0: [[[0.0]]]}\ntuning:", "gains.K0", "K0-singular"),
             ]
             for args in ([], ["tune"])
         ],

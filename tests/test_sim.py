@@ -614,24 +614,26 @@ def _sequential_failure_of(scenarios):
 
 def _variant_failure_batches():
     # A: x overflows at a seed-dependent t > 1 s. B: the same plant with an
-    # M^-1 whose gain fails at t = 0.0005; E: with K0 = 0, which fails at
-    # t = 0. C: its gain loses positivity at t = 0.277; D: the same plant
-    # with gains that stay positive definite.
+    # M^-1 whose gain fails at t = 0.0005. C: its gain loses positivity at
+    # t = 0.277; F: the same plant with a larger M^-1, whose gain fails
+    # earlier, at t = 0.0465; D: the same plant with gains that stay
+    # positive definite.
     a = _blow_up_scenario()
     b = replace(a, seed=1, m_inv_blocks=(1e6 * np.eye(1),))
-    e = replace(a, seed=2, K0_blocks=(np.zeros((1, 1)),))
     net = make_single_node_network(a=50.0)
     c = _failing_scenario(net, [np.eye(1)], [0.0])
     d = _failing_scenario(net, [np.zeros((1, 1))], [0.0])
+    f = _failing_scenario(net, [2.0 * np.eye(1)], [0.0])
     return {
         "A-B": ([a, b], NonFinite),
         "B-A": ([b, a], SingularGain),
         "A-B-A": ([a, b, replace(a, seed=3)], NonFinite),
-        "A-E": ([a, e], NonFinite),
-        "E-A": ([e, a], LostPositivity),
         "D-C": ([d, c], LostPositivity),
         "C-D": ([c, d], LostPositivity),
         "D-C-D": ([d, c, replace(d, seed=2)], LostPositivity),
+        # F's failure cuts the batch before C's, and C's cuts it again
+        "D-C-F": ([d, c, f], LostPositivity),
+        "D-F-C": ([d, f, c], SingularGain),
     }
 
 
