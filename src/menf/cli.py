@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -102,15 +103,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Header line, then every row formatted by one "%.17g,..." template,
-    the same bytes as _fmt per cell; rows are written one at a time."""
+# Rows formatted per write: the text of one block is held at a time, never
+# that of a whole table.
+ROW_BLOCK = 1024
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """The "%.17g" text of each value, the same bytes as _fmt."""
+    return ["%.17g" % v for v in values.tolist()]
+
+
+def _write_csv(
+    path: Path, header: list[str], first: list[str], columns: list[np.ndarray]
+) -> None:
+    """Header line, then one row per entry of `first`: that entry, the
+    already formatted first cell (the t text, shared by every table of a
+    grid), then the row of `columns`, each value "%.17g", the same bytes as
+    _fmt per cell. Rows are formatted and written ROW_BLOCK at a time."""
     table = np.column_stack(columns)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    line = "%s" + ",%.17g" * table.shape[1] + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(line % tuple(row.tolist()))
+        for a in range(0, len(first), ROW_BLOCK):
+            b = a + ROW_BLOCK
+            fh.write("".join(map(line.__mod__, zip(first[a:b], *table[a:b].T.tolist()))))
 
 
 def _read_csv(path: Path, width: int) -> np.ndarray:
@@ -170,51 +186,88 @@ def _apply_overrides(doc: dict, args) -> dict:
     return validate_document(doc, source=args.scenario)
 
 
-def _export_run(outdir: Path, doc: dict, scenario, traj: Trajectories) -> None:
+class _ExportCache:
+    """What the runs of one export share, kept so it is formatted once: the
+    t text of the last grid, and the directory whose gains_node*.csv hold
+    the last gain array written. The runs of a simulate_runs batch share
+    one t array and, per gain variant, one K array (the gains need no
+    data), so both are found by identity."""
+
+    def __init__(self):
+        self.t = self.t_text = None
+        self.K = self.K_dir = None
+
+    def t_column(self, t: np.ndarray) -> list[str]:
+        if t is not self.t:
+            self.t, self.t_text = t, _format_column(t)
+        return self.t_text
+
+
+def _export_run(
+    outdir: Path, doc: dict, scenario, traj: Trajectories, cache: _ExportCache
+) -> None:
+    """Write one run's CSV tables and manifest.yaml into outdir.
+
+    Every table starts with the t column, whose text comes from the cache.
+    When an earlier run of the cache wrote the same gain array, its
+    gains_node*.csv are copied instead of formatted again."""
     outdir.mkdir(parents=True, exist_ok=True)
     net = scenario.network
-    t = traj.t
+    t_text = cache.t_column(traj.t)
     n = net.n
     e = traj.e
     _write_csv(
         outdir / "state.csv",
         ["t"] + [f"x{k + 1}" for k in range(n)],
-        [t] + [traj.x[:, k] for k in range(n)],
+        t_text,
+        [traj.x[:, k] for k in range(n)],
     )
+    gains_written = cache.K is traj.K
     for i in net.node_ids():
         _write_csv(
             outdir / f"estimates_node{i}.csv",
             ["t"] + [f"xhat{k + 1}" for k in range(n)],
-            [t] + [traj.xhat[i - 1][:, k] for k in range(n)],
+            t_text,
+            [traj.xhat[i - 1][:, k] for k in range(n)],
         )
         _write_csv(
             outdir / f"errors_node{i}.csv",
             ["t"] + [f"e{k + 1}" for k in range(n)],
-            [t] + [e[i - 1][:, k] for k in range(n)],
+            t_text,
+            [e[i - 1][:, k] for k in range(n)],
         )
+        name = f"gains_node{i}.csv"
+        if gains_written:
+            shutil.copyfile(cache.K_dir / name, outdir / name)
+            continue
         _write_csv(
-            outdir / f"gains_node{i}.csv",
+            outdir / name,
             ["t"] + [f"K{r + 1}{c + 1}" for r in range(n) for c in range(n)],
-            [t] + [traj.K[i - 1][:, r, c] for r in range(n) for c in range(n)],
+            t_text,
+            [traj.K[i - 1][:, r, c] for r in range(n) for c in range(n)],
         )
+    cache.K, cache.K_dir = traj.K, outdir
     _write_csv(
         outdir / "disturbance_w.csv",
         ["t"] + [f"w{k + 1}" for k in range(net.plant.q)],
-        [t] + [traj.w_samples[:, k] for k in range(net.plant.q)],
+        t_text,
+        [traj.w_samples[:, k] for k in range(net.plant.q)],
     )
     for i in net.node_ids():
         p = net.node(i).p
         _write_csv(
             outdir / f"disturbance_v_node{i}.csv",
             ["t"] + [f"v{k + 1}" for k in range(p)],
-            [t] + [traj.v_samples[i][:, k] for k in range(p)],
+            t_text,
+            [traj.v_samples[i][:, k] for k in range(p)],
         )
     for (i, j) in net.edges:
         m = net.link(i, j).m
         _write_csv(
             outdir / f"disturbance_eps_{i}_{j}.csv",
             ["t"] + [f"eps{k + 1}" for k in range(m)],
-            [t] + [traj.eps_samples[(i, j)][:, k] for k in range(m)],
+            t_text,
+            [traj.eps_samples[(i, j)][:, k] for k in range(m)],
         )
     manifest = {
         "scenario": doc,
@@ -243,7 +296,7 @@ def _cmd_simulate(args) -> int:
     else:
         scenario = document_to_scenario(doc)
     traj = simulate(scenario)
-    _export_run(Path(args.out), doc, scenario, traj)
+    _export_run(Path(args.out), doc, scenario, traj, _ExportCache())
     final_e = float(np.max(np.abs(traj.e[:, -1, :])))
     print(f"run complete: {len(traj.t) - 1} steps, final max |e| = {final_e:.6g}")
     print(f"outputs in {args.out} (scenario sha256 {document_hash(doc)[:16]}...)")
@@ -372,18 +425,26 @@ def _cmd_verify(args) -> int:
 # reproduce-chua
 # ---------------------------------------------------------------------------
 
+# Byte budget of the run states one reproduce-chua group holds. A group is
+# one simulate_runs pass, which integrates each gain variant once, then its
+# export; Chua holds 2.9 MB per seed, so up to 11 seeds make one group.
+CHUNK_BYTES = 32 * 2**20
+
+
 def _last_second(t: np.ndarray) -> np.ndarray:
     return t >= t[-1] - 1.0
 
 
-def _export_seed(out: Path, doc: dict, P: np.ndarray, run, traj: Trajectories) -> tuple:
+def _export_seed(
+    out: Path, doc: dict, P: np.ndarray, run, traj: Trajectories, cache: _ExportCache
+) -> tuple:
     """Export one seed's run. Returns (seed, per-node max |e_1| and max
     |e|_inf over the last second, converged, H-infinity slack)."""
     N = run.network.N
     sdoc = json.loads(json.dumps(doc))  # deep copy
     sdoc["sim"]["seed"] = run.seed
     seed_dir = out / f"seed_{run.seed}"
-    _export_run(seed_dir, sdoc, run, traj)
+    _export_run(seed_dir, sdoc, run, traj, cache)
     report = check_hinf(run, traj, P)
 
     window = _last_second(traj.t)
@@ -394,9 +455,38 @@ def _export_seed(out: Path, doc: dict, P: np.ndarray, run, traj: Trajectories) -
     _write_csv(
         seed_dir / "errors_first_coord.csv",
         ["t"] + [f"e1_node{i}" for i in range(1, N + 1)],
-        [traj.t] + [e[i][:, 0] for i in range(N)],
+        cache.t_column(traj.t),
+        [e[i][:, 0] for i in range(N)],
     )
     return run.seed, first, inf, converged, report.slack
+
+
+def _seeds_per_group(scenario) -> int:
+    """As many seeds as CHUNK_BYTES holds of the state arrays of their
+    networked and isolated runs, at least one."""
+    net = scenario.network
+    seed_bytes = 2 * 8 * (scenario.steps + 1) * net.n * (net.N + 1)
+    return max(1, CHUNK_BYTES // seed_bytes)
+
+
+def _reproduce_group(out: Path, doc: dict, P: np.ndarray, scenario, seeds) -> tuple:
+    """Simulate and export one group of seeds. Returns the seeds' export
+    records and the node-1 maxima of their isolated twins over the last
+    second."""
+    runs = [replace(scenario, seed=s) for s in seeds]
+    isolated = make_isolated_variant(scenario, 1)
+    # One pass: the networked runs, then the same seeds with node 1 isolated.
+    trajs = simulate_runs(runs + [replace(isolated, seed=run.seed) for run in runs])
+    window = _last_second(scenario.t_grid())
+    iso_maxima = [
+        float(np.max(np.abs(iso.e[0][window]))) for iso in trajs[len(runs):]
+    ]
+    # Every run is released once used, so that only one run's disturbance
+    # samples are held at a time.
+    del trajs[len(runs):]
+    cache = _ExportCache()
+    records = [_export_seed(out, doc, P, run, trajs.pop(0), cache) for run in runs]
+    return records, iso_maxima
 
 
 def _cmd_reproduce_chua(args) -> int:
@@ -429,18 +519,13 @@ def _cmd_reproduce_chua(args) -> int:
     scenario = replace(
         scenario, m_inv_blocks=result.m_inv_blocks, minv_margin=result.minv_margin
     )
-    runs = [replace(scenario, seed=s) for s in range(args.seeds)]
-    isolated = make_isolated_variant(scenario, 1)
-    # One pass: the networked runs, then the same seeds with node 1 isolated.
-    trajs = simulate_runs(runs + [replace(isolated, seed=run.seed) for run in runs])
-    window = _last_second(scenario.t_grid())
-    iso_maxima = [
-        float(np.max(np.abs(iso.e[0][window]))) for iso in trajs[len(runs):]
-    ]
-    # Every run is released once used, so that only one run's disturbance
-    # samples are held at a time.
-    del trajs[len(runs):]
-    records = [_export_seed(out, doc, P, run, trajs.pop(0)) for run in runs]
+    group = _seeds_per_group(scenario)
+    records, iso_maxima = [], []
+    for start in range(0, args.seeds, group):
+        seeds = range(start, min(start + group, args.seeds))
+        group_records, group_maxima = _reproduce_group(out, doc, P, scenario, seeds)
+        records += group_records
+        iso_maxima += group_maxima
     rows = []
     for (seed, first, inf, converged, slack), iso_max in zip(records, iso_maxima):
         ratio = iso_max / max(inf[0], 1e-300)

@@ -513,9 +513,13 @@ def scenario_to_document(scenario: Scenario, include_m: bool = True) -> dict:
     return doc
 
 
+# libyaml's emitter when PyYAML was built with it, the same bytes faster.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def dump_document(doc: dict) -> str:
     """Canonical YAML dump: stable key order, shortest-roundtrip floats."""
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None, width=100)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=None, width=100)
 
 
 def document_hash(doc: dict) -> str:

@@ -3,8 +3,11 @@
 The guaranteed bound compares the weighted error cost int e^T P e dt against
 the total disturbance budget
 
-    sum_i ||x0 - xi_i||^2_{Xcal_i} + N ||w||_2^2
+    sum_i ||x0 - xi_i||^2_{K_i(0)} + N ||w||_2^2
         + sum_i (||v_i||_2^2 + sum_{j in N_i} ||eps_ij||_2^2).
+
+The initial term is the storage function of the proof at t = 0, so it is
+weighted by the gains' initial value K_i(0) (gains.K0, Xcal_i by default).
 
 The left side is a composite trapezoid on the simulation grid; each
 disturbance norm is dt times the sum of the channel's squared panel values,
@@ -89,9 +92,9 @@ def rhs_budget(scenario: Scenario, traj: Trajectories) -> BudgetBreakdown:
     T = float(traj.t[-1])
     x0 = traj.x[0]
     init = 0.0
-    for node in net.nodes:
+    for node, K0 in zip(net.nodes, scenario.gain_initial_blocks()):
         d = x0 - node.xi
-        init += float(d @ node.Xcal @ d)
+        init += float(d @ K0 @ d)
     model = net.N * real.w.energy_on(T, dt)
     measurement = 0.0
     for i in net.node_ids():

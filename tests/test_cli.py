@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from menf import check_hinf, simulate
-from menf.cli import _fmt, _write_csv, main
+from menf import cli
+from menf.cli import _fmt, _format_column, _write_csv, main
 from menf.scenario_io import (
     bundled_chua_text,
     document_to_scenario,
@@ -231,7 +232,7 @@ def test_csv_writer_bytes_match_per_cell_format(tmp_path):
         np.array([0.1, 1.0 / 3.0, -2.5, 123456789.123456789, 1e-300, 7.0]),
     ]
     path = tmp_path / "table.csv"
-    _write_csv(path, ["a", "b"], columns)
+    _write_csv(path, ["a", "b"], _format_column(columns[0]), columns[1:])
     rows = [",".join(_fmt(col[r]) for col in columns) for r in range(6)]
     assert path.read_bytes() == ("a,b\n" + "".join(r + "\n" for r in rows)).encode()
 
@@ -309,18 +310,57 @@ def test_reproduce_chua_rejects_a_bad_seed_count(tmp_path, capsys, seeds):
     assert not out.exists()
 
 
-def test_reproduce_chua_seed_matches_simulate(tmp_path):
-    repro = tmp_path / "repro"
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def chua_two_seeds(tmp_path_factory):
+    repro = tmp_path_factory.mktemp("repro") / "out"
     assert main(["reproduce-chua", "--out", str(repro), "--seeds", "2"]) == 0
+    return repro
+
+
+def test_reproduce_chua_seed_matches_simulate(chua_two_seeds, tmp_path):
+    # seed_1 exports from the shared t text and seed_0's gain files; a
+    # single run formats both itself.
+    repro = chua_two_seeds
     single = tmp_path / "single"
     assert main([
         "simulate", str(repro / "chua.scenario"), "--out", str(single), "--seed", "1",
         "--tuned", str(repro / "tuned.yaml"),
     ]) == 0
-    names = sorted(p.name for p in single.glob("*.csv"))
-    assert len(names) == 30
-    for name in names:
-        assert (repro / "seed_1" / name).read_bytes() == (single / name).read_bytes(), name
+    seed_1 = _tree(repro / "seed_1")
+    assert seed_1.pop("errors_first_coord.csv")
+    assert len(seed_1) == 31
+    assert seed_1 == _tree(single)
+    seed_0 = _tree(repro / "seed_0")
+    gains = [name for name in seed_1 if name.startswith("gains_node")]
+    assert len(gains) == 5
+    for name in gains:
+        assert seed_0[name] == seed_1[name], name
+
+
+def test_reproduce_chua_seed_groups_write_the_same_tree(chua_two_seeds, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)  # one seed per group
+    groups = []
+    real = cli._reproduce_group
+
+    def counted(*args):
+        groups.append(list(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_reproduce_group", counted)
+    repro = tmp_path / "repro"
+    assert main(["reproduce-chua", "--out", str(repro), "--seeds", "2"]) == 0
+    assert groups == [[0], [1]]
+    assert _tree(repro) == _tree(chua_two_seeds)
+
+
+def test_reproduce_chua_runs_ten_seeds_in_one_group():
+    # Each group integrates the gains again, so the default round stays one pass.
+    doc = parse_document(bundled_chua_text(), source="chua.scenario")
+    assert cli._seeds_per_group(document_to_scenario(doc)) >= 10
 
 
 ONE_NODE = """

@@ -78,6 +78,20 @@ def test_float_roundtrip_exact():
     assert yaml.safe_load(dumped) == values
 
 
+def test_dump_document_bytes_match_the_pure_python_dumper():
+    # dump_document emits through libyaml where it is built; its bytes are
+    # those of PyYAML's own SafeDumper with the same options.
+    doc = {
+        "floats": [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, float("inf"), float("nan")],
+        "nested": {"b": [[1.0, 2.5], [True, None]], "a": "x" * 300},
+        "scenario": parse_document(bundled_chua_text()),
+    }
+    reference = yaml.dump(
+        doc, Dumper=yaml.SafeDumper, sort_keys=True, default_flow_style=None, width=100
+    )
+    assert dump_document(doc) == reference
+
+
 def test_missing_tuning_raises():
     doc = yaml.safe_load(MINIMAL)
     del doc["tuning"]

@@ -150,35 +150,51 @@ def test_check_hinf_no_warning_with_metadata(chua_run, chua_P):
     assert report.slack >= 0
 
 
-def test_rhs_monotone_in_xcal(chua_run):
-    # inflating the initialization weights inflates the budget
-    from menf import NodeModel, build_network
+def test_rhs_monotone_in_initial_gain(chua_run):
+    # inflating the initialization weights, the initial gains K(0), inflates
+    # the budget
+    from dataclasses import replace
 
     scenario, traj = chua_run
-    net = scenario.network
-    slacks = []
-    for scale in (1.0, 10.0):
-        nodes = [
-            NodeModel(
-                C=node.C, D=node.D, xi=node.xi, Xcal=scale * node.Xcal,
-                links=dict(node.links),
-            )
-            for node in net.nodes
-        ]
-        scaled = build_network(net.plant, nodes, net.edges)
-        scen2 = Scenario(
-            network=scaled,
-            T=scenario.T,
-            dt=scenario.dt,
-            seed=scenario.seed,
-            x0_law=scenario.x0_law,
-            disturbances=scenario.disturbances,
-            m_inv_blocks=scenario.m_inv_blocks,
-            K0_blocks=scenario.K0_blocks,
-        )
-        breakdown = rhs_budget(scen2, traj)
-        slacks.append(breakdown.total)
-    assert slacks[1] > slacks[0]
+    totals = [
+        rhs_budget(
+            replace(
+                scenario,
+                K0_blocks=tuple(scale * b for b in scenario.gain_initial_blocks()),
+            ),
+            traj,
+        ).total
+        for scale in (1.0, 10.0)
+    ]
+    assert totals[1] > totals[0]
+
+
+@pytest.mark.parametrize(
+    "xcal, k0", [(0.01, 100.0), (100.0, 0.5)], ids=["K0-above-Xcal", "K0-below-Xcal"]
+)
+def test_budget_weights_the_initial_error_by_k0(xcal, k0):
+    # One certified node whose gains start at K0 != Xcal and stay positive
+    # definite: the proof's storage function at t = 0 is |x0 - xi|^2_{K(0)}.
+    # Weighted by Xcal, the first case read slack -39.7.
+    from menf.tuning import verify_tuning
+
+    net = make_single_node_network(xcal=xcal)
+    m_inv = (np.array([[1.5]]),)
+    scenario = Scenario(
+        network=net,
+        T=5.0,
+        dt=1e-3,
+        seed=0,
+        x0_law=X0Law(kind="fixed", value=np.array([10.0])),
+        m_inv_blocks=m_inv,
+        minv_margin=verify_tuning(net, np.eye(1), m_inv).minv_margin,
+        K0_blocks=(np.array([[k0]]),),
+    )
+    traj = simulate(scenario)
+    assert traj.hypotheses["gains_positive_definite"]
+    report = check_hinf(scenario, traj, np.eye(1))
+    assert report.breakdown.init == pytest.approx(100.0 * k0, rel=1e-15)
+    assert report.slack >= 0
 
 
 def test_consensus_cost_zero_when_estimates_agree():
