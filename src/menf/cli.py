@@ -113,14 +113,12 @@ def _format_column(values: np.ndarray) -> list[str]:
     return ["%.17g" % v for v in values.tolist()]
 
 
-def _write_csv(
-    path: Path, header: list[str], first: list[str], columns: list[np.ndarray]
-) -> None:
+def _write_csv(path: Path, header: list[str], first: list[str], table: np.ndarray) -> None:
     """Header line, then one row per entry of `first`: that entry, the
     already formatted first cell (the t text, shared by every table of a
-    grid), then the row of `columns`, each value "%.17g", the same bytes as
-    _fmt per cell. Rows are formatted and written ROW_BLOCK at a time."""
-    table = np.column_stack(columns)
+    grid), then that row of the 2-D `table`, each value "%.17g", the same
+    bytes as _fmt per cell. Rows are formatted and written ROW_BLOCK at a
+    time."""
     line = "%s" + ",%.17g" * table.shape[1] + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -203,72 +201,53 @@ class _ExportCache:
         return self.t_text
 
 
+def _columns(name: str, k: int) -> list[str]:
+    return ["t"] + [f"{name}{c + 1}" for c in range(k)]
+
+
+def _tables(net, traj: Trajectories):
+    """The one list of a run's CSV tables, in export order: (file name,
+    header, values), values being the (steps+1, k) table after the t
+    column. Export writes every table; verify checks the disturbance_*
+    tables against the samples realized from the manifest."""
+    n = net.n
+    yield "state.csv", _columns("x", n), traj.x
+    for i in net.node_ids():
+        yield f"estimates_node{i}.csv", _columns("xhat", n), traj.xhat[i - 1]
+        yield f"errors_node{i}.csv", _columns("e", n), traj.xhat[i - 1] - traj.x
+        yield (
+            f"gains_node{i}.csv",
+            ["t"] + [f"K{r + 1}{c + 1}" for r in range(n) for c in range(n)],
+            traj.K[i - 1].reshape(-1, n * n),
+        )
+    yield "disturbance_w.csv", _columns("w", net.plant.q), traj.w_samples
+    for i in net.node_ids():
+        yield f"disturbance_v_node{i}.csv", _columns("v", net.node(i).p), traj.v_samples[i]
+    for (i, j) in net.edges:
+        yield (
+            f"disturbance_eps_{i}_{j}.csv",
+            _columns("eps", net.link(i, j).m),
+            traj.eps_samples[(i, j)],
+        )
+
+
 def _export_run(
     outdir: Path, doc: dict, scenario, traj: Trajectories, cache: _ExportCache
 ) -> None:
-    """Write one run's CSV tables and manifest.yaml into outdir.
+    """Write one run's CSV tables (_tables) and manifest.yaml into outdir.
 
     Every table starts with the t column, whose text comes from the cache.
     When an earlier run of the cache wrote the same gain array, its
     gains_node*.csv are copied instead of formatted again."""
     outdir.mkdir(parents=True, exist_ok=True)
-    net = scenario.network
     t_text = cache.t_column(traj.t)
-    n = net.n
-    e = traj.e
-    _write_csv(
-        outdir / "state.csv",
-        ["t"] + [f"x{k + 1}" for k in range(n)],
-        t_text,
-        [traj.x[:, k] for k in range(n)],
-    )
     gains_written = cache.K is traj.K
-    for i in net.node_ids():
-        _write_csv(
-            outdir / f"estimates_node{i}.csv",
-            ["t"] + [f"xhat{k + 1}" for k in range(n)],
-            t_text,
-            [traj.xhat[i - 1][:, k] for k in range(n)],
-        )
-        _write_csv(
-            outdir / f"errors_node{i}.csv",
-            ["t"] + [f"e{k + 1}" for k in range(n)],
-            t_text,
-            [e[i - 1][:, k] for k in range(n)],
-        )
-        name = f"gains_node{i}.csv"
-        if gains_written:
+    for name, header, table in _tables(scenario.network, traj):
+        if gains_written and name.startswith("gains_"):
             shutil.copyfile(cache.K_dir / name, outdir / name)
-            continue
-        _write_csv(
-            outdir / name,
-            ["t"] + [f"K{r + 1}{c + 1}" for r in range(n) for c in range(n)],
-            t_text,
-            [traj.K[i - 1][:, r, c] for r in range(n) for c in range(n)],
-        )
+        else:
+            _write_csv(outdir / name, header, t_text, table)
     cache.K, cache.K_dir = traj.K, outdir
-    _write_csv(
-        outdir / "disturbance_w.csv",
-        ["t"] + [f"w{k + 1}" for k in range(net.plant.q)],
-        t_text,
-        [traj.w_samples[:, k] for k in range(net.plant.q)],
-    )
-    for i in net.node_ids():
-        p = net.node(i).p
-        _write_csv(
-            outdir / f"disturbance_v_node{i}.csv",
-            ["t"] + [f"v{k + 1}" for k in range(p)],
-            t_text,
-            [traj.v_samples[i][:, k] for k in range(p)],
-        )
-    for (i, j) in net.edges:
-        m = net.link(i, j).m
-        _write_csv(
-            outdir / f"disturbance_eps_{i}_{j}.csv",
-            ["t"] + [f"eps{k + 1}" for k in range(m)],
-            t_text,
-            [traj.eps_samples[(i, j)][:, k] for k in range(m)],
-        )
     manifest = {
         "scenario": doc,
         "scenario_sha256": document_hash(doc),
@@ -325,18 +304,6 @@ def _load_manifest(traj_dir: Path) -> dict:
     return manifest
 
 
-def _matching_samples(path: Path, cols: int, realized: np.ndarray) -> None:
-    """Require the grid samples of one disturbance CSV to equal the samples
-    realized from the manifest's scenario and seed (the 17-digit export
-    round-trips exactly)."""
-    if not np.array_equal(_read_csv(path, 1 + cols)[:, 1:], realized):
-        raise ScenarioFormatError(
-            "samples differ from the disturbances realized from the manifest's "
-            "scenario and seed",
-            str(path),
-        )
-
-
 def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
     net = scenario.network
     n = net.n
@@ -364,15 +331,18 @@ def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
         realization=realize_disturbances(scenario),
         network=net,
     )
-    _matching_samples(traj_dir / "disturbance_w.csv", net.plant.q, traj.w_samples)
-    for i in net.node_ids():
-        _matching_samples(
-            traj_dir / f"disturbance_v_node{i}.csv", net.node(i).p, traj.v_samples[i]
-        )
-    for (i, j) in net.edges:
-        _matching_samples(
-            traj_dir / f"disturbance_eps_{i}_{j}.csv", net.link(i, j).m, traj.eps_samples[(i, j)]
-        )
+    # The grid samples of every disturbance table must equal those realized
+    # from the manifest's scenario and seed (the 17-digit export round-trips
+    # exactly).
+    for name, _, realized in _tables(net, traj):
+        if name.startswith("disturbance_"):
+            path = traj_dir / name
+            if not np.array_equal(_read_csv(path, 1 + realized.shape[1])[:, 1:], realized):
+                raise ScenarioFormatError(
+                    "samples differ from the disturbances realized from the "
+                    "manifest's scenario and seed",
+                    str(path),
+                )
     return traj
 
 
@@ -428,7 +398,7 @@ def _cmd_verify(args) -> int:
 # Byte budget of the run states one reproduce-chua group holds. A group is
 # one simulate_runs pass, which integrates each gain variant once, then its
 # export; Chua holds 2.9 MB per seed, so up to 11 seeds make one group.
-CHUNK_BYTES = 32 * 2**20
+GROUP_BYTES = 32 * 2**20
 
 
 def _last_second(t: np.ndarray) -> np.ndarray:
@@ -454,19 +424,19 @@ def _export_seed(
     converged = all(v <= 1e-2 for v in inf)
     _write_csv(
         seed_dir / "errors_first_coord.csv",
-        ["t"] + [f"e1_node{i}" for i in range(1, N + 1)],
+        _columns("e1_node", N),
         cache.t_column(traj.t),
-        [e[i][:, 0] for i in range(N)],
+        e[:, :, 0].T,
     )
     return run.seed, first, inf, converged, report.slack
 
 
 def _seeds_per_group(scenario) -> int:
-    """As many seeds as CHUNK_BYTES holds of the state arrays of their
+    """As many seeds as GROUP_BYTES holds of the state arrays of their
     networked and isolated runs, at least one."""
     net = scenario.network
     seed_bytes = 2 * 8 * (scenario.steps + 1) * net.n * (net.N + 1)
-    return max(1, CHUNK_BYTES // seed_bytes)
+    return max(1, GROUP_BYTES // seed_bytes)
 
 
 def _reproduce_group(out: Path, doc: dict, P: np.ndarray, scenario, seeds) -> tuple:

@@ -4,11 +4,11 @@ The information-form gain K of a node evolves by
 
     dK/dt = S - K Q K - A^T K - K A,   S = C^T R^-1 C + sum_j W^T U^-1 W - M^-1
 
-with K(0) = Xcal. This module owns that equation: riccati_rhs is its one
-definition and gain_pass its one integrator, fixed-step classic RK4 over
-groups of gain equations, which both the coupled engine (sim.simulate_runs,
-all N nodes of every gain variant at once) and integrate_riccati (one gain)
-step chunk by chunk.
+with K(0) = gains.K0, Xcal by default. This module owns that equation:
+riccati_rhs is its one definition and gain_pass its one integrator,
+fixed-step classic RK4 over groups of gain equations, which both the
+coupled engine (sim.simulate_runs, all N nodes of every gain variant at
+once) and integrate_riccati (one gain) step chunk by chunk.
 Runs are bit-reproducible, the convergence-order check is meaningful, and
 the grid matches the coupled simulation. K is never inverted here;
 downstream code applies K^-1 through its Cholesky factor L

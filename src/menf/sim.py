@@ -651,9 +651,12 @@ def simulate_runs(scenarios) -> list[Trajectories]:
     live, V, failed = len(scenarios), len(variants), None
 
     def cut(r: int, error: Exception) -> None:
-        # r is a live run, so it comes before every run cut earlier
+        # Only an earlier run cuts again: run `live` and the runs after it
+        # failed at this step or before, so a later gain event of their
+        # variants must not step them again.
         nonlocal live, V, failed
-        live, V, failed = r, sum(f < r for f in first_run), error
+        if r < live:
+            live, V, failed = r, sum(f < r for f in first_run), error
 
     h2, h6 = 0.5 * dt, dt / 6.0
     chunk = chunk_steps(Ks.shape[:2] + (n, n))

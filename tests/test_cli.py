@@ -232,7 +232,7 @@ def test_csv_writer_bytes_match_per_cell_format(tmp_path):
         np.array([0.1, 1.0 / 3.0, -2.5, 123456789.123456789, 1e-300, 7.0]),
     ]
     path = tmp_path / "table.csv"
-    _write_csv(path, ["a", "b"], _format_column(columns[0]), columns[1:])
+    _write_csv(path, ["a", "b"], _format_column(columns[0]), np.column_stack(columns[1:]))
     rows = [",".join(_fmt(col[r]) for col in columns) for r in range(6)]
     assert path.read_bytes() == ("a,b\n" + "".join(r + "\n" for r in rows)).encode()
 
@@ -256,16 +256,19 @@ def test_verify_from_disk_equals_in_memory_report(tmp_path):
         assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300)
 
 
-def test_verify_rejects_samples_not_matching_the_manifest(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name", ["disturbance_w.csv", "disturbance_v_node2.csv", "disturbance_eps_1_2.csv"]
+)
+def test_verify_rejects_samples_not_matching_the_manifest(tmp_path, capsys, name):
     _, _, out = tune_and_simulate(tmp_path)
-    path = out / "disturbance_w.csv"
+    path = out / name
     lines = path.read_text().splitlines()
     cols = lines[10].split(",")
     cols[1] = format(float(cols[1]) + 1e-9, ".17g")
     lines[10] = ",".join(cols)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(out)]) == 1
-    assert "disturbance_w.csv" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -342,7 +345,7 @@ def test_reproduce_chua_seed_matches_simulate(chua_two_seeds, tmp_path):
 
 
 def test_reproduce_chua_seed_groups_write_the_same_tree(chua_two_seeds, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)  # one seed per group
+    monkeypatch.setattr(cli, "GROUP_BYTES", 1)  # one seed per group
     groups = []
     real = cli._reproduce_group
 

@@ -624,6 +624,12 @@ def _variant_failure_batches():
     c = _failing_scenario(net, [np.eye(1)], [0.0])
     d = _failing_scenario(net, [np.zeros((1, 1))], [0.0])
     f = _failing_scenario(net, [2.0 * np.eye(1)], [0.0])
+    # G: x overflows at t = 0.029 from a fixed x0, found by scanning (x0
+    # from about 4e298 to 6e298 overflows at that step); H: its plant with
+    # an M^-1 whose gain loses positivity at the same step, after G's state.
+    fast = make_single_node_network(a=500.0)
+    g = _failing_scenario(fast, [np.zeros((1, 1))], [5e298], T=0.2)
+    h = _failing_scenario(fast, [np.eye(1)], [0.0], T=0.2)
     return {
         "A-B": ([a, b], NonFinite),
         "B-A": ([b, a], SingularGain),
@@ -634,6 +640,8 @@ def _variant_failure_batches():
         # F's failure cuts the batch before C's, and C's cuts it again
         "D-C-F": ([d, c, f], LostPositivity),
         "D-F-C": ([d, f, c], SingularGain),
+        # H's gain event must not step G again after G's state failed
+        "G-H": ([g, h], NonFinite),
     }
 
 
