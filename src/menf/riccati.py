@@ -19,6 +19,10 @@ S = C^T R^-1 C + [Delta]_ii - M^-1 (possibly indefinite) is solved for its
 stabilizing solution Z+ from the stable invariant subspace of the
 Hamiltonian  H = [[A^T, -S], [-B B^T, -A]]  via an ordered real Schur
 decomposition. The binding contract is the residual check, not the route.
+solve_are_stabilizing is the PBH test of (A, B) (check_stabilizable)
+followed by stable_are_solution, the Hamiltonian part; callers that solve
+many AREs of one plant, such as the tuner's per-node problem, run the PBH
+test once and call stable_are_solution directly.
 """
 
 from __future__ import annotations
@@ -288,24 +292,24 @@ def check_stabilizable(A: np.ndarray, B: np.ndarray) -> None:
             raise NotStabilizable(complex(lam), float(sv[-1]))
 
 
-def solve_are_stabilizing(
-    A: np.ndarray, B: np.ndarray, S: np.ndarray
-) -> AreSolution:
-    """Stabilizing solution Z+ of  Z A^T + A Z - Z S Z + B B^T = 0.
+def stable_are_solution(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> AreSolution:
+    """Stabilizing solution Z+ of  Z A^T + A Z - Z S Z + Q = 0, the Hamiltonian part.
 
-    S may be indefinite. Z+ is recovered as V U^-1 from the stable invariant
-    subspace [U; V] of the Hamiltonian; NoStabilizingSolution is raised when
-    the Hamiltonian touches the imaginary axis, the subspace is degenerate,
-    Z+ is not positive definite, or the closed loop is not Hurwitz.
+    A, Q and S are float matrices of one size, S and Q exactly symmetric.
+    Nothing is validated and no PBH test is run: the caller owns that, once
+    per plant (solve_are_stabilizing, tuning's node problem). Z+ is
+    recovered as V U^-1 from the stable invariant subspace [U; V] of the
+    Hamiltonian H = [[A^T, -S], [-Q, -A]]; NoStabilizingSolution is raised
+    when H touches the imaginary axis, the subspace is degenerate, Z+ is not
+    positive definite, its residual is too large, or the closed loop is not
+    Hurwitz.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    S = require_symmetric(S, "S")
     n = A.shape[0]
-    check_stabilizable(A, B)
-
-    Q = B @ B.T
-    H = np.block([[A.T, -S], [-Q, -A]])
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A.T
+    H[:n, n:] = -S
+    H[n:, :n] = -Q
+    H[n:, n:] = -A
     ev = np.linalg.eigvals(H)
     axis_tol = IMAG_AXIS_TOL * float(np.linalg.norm(H))
     if np.min(np.abs(ev.real)) < axis_tol:
@@ -340,6 +344,21 @@ def solve_are_stabilizing(
         residual=residual,
         closed_loop_spectral_abscissa=abscissa,
     )
+
+
+def solve_are_stabilizing(
+    A: np.ndarray, B: np.ndarray, S: np.ndarray
+) -> AreSolution:
+    """Stabilizing solution Z+ of  Z A^T + A Z - Z S Z + B B^T = 0.
+
+    S may be indefinite. Raises NotStabilizable when (A, B) fails the PBH
+    test, and otherwise solves through stable_are_solution.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    S = require_symmetric(S, "S")
+    check_stabilizable(A, B)
+    return stable_are_solution(A, B @ B.T, S)
 
 
 def verify_prop1_limit(

@@ -18,6 +18,14 @@ verify_tuning, an independent evaluation of both conditions.
 Strictness: at an exact ARE solution the node LMI block has lambda_max = 0,
 so the strict witness X_i is taken from the ARE with constant term inflated
 to B B^T + theta I, which shifts the block to -theta X_i^2 < 0.
+
+Cost: each node's inequality is one _NodeProblem, built once per
+tune_scalar and shared by every decay-floor rung. It runs the PBH test of
+(A, B) once (the theta-inflated pencils need none, their B_theta being
+nonsingular) and holds the constant terms, so a certificate costs one
+Hamiltonian solve, plus the witness solves only when the closed loop meets
+the decay floor. node_feasible, the cap bisection and verify_tuning all
+certify through its one method.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import (
 )
 from .linalg import block_diag, require_psd, require_spd, require_symmetric, symmetrize
 from .model import GlobalMatrices, Network, NodeModel, PlantModel, assemble_global
-from .riccati import AreSolution, solve_are_stabilizing
+from .riccati import AreSolution, check_stabilizable, stable_are_solution
 
 # Required strictness of the node LMI witness (acceptance-level contract).
 LMI_STRICTNESS = -1e-10
@@ -114,6 +122,86 @@ def check_minv(gm: GlobalMatrices, M_blocks, P: np.ndarray) -> float:
     return _minv_quantity(gm, block_diag(inv_blocks), P)
 
 
+class _NodeProblem:
+    """One node's strict Riccati/LMI inequality, less its M_i^-1.
+
+    Holds what every certificate of the node shares, so that a certificate
+    costs its ARE solve plus, only when the decay floor holds, its witness
+    solves. Building it runs the PBH test of (A, B) once and raises
+    NotStabilizable when it fails. The witness constant terms
+    B_theta B_theta^T, B_theta = chol(Q + theta I), need no PBH test of their
+    own: B_theta is nonsingular, so every pencil [A - lambda I, B_theta] has
+    full rank.
+    """
+
+    def __init__(self, plant: PlantModel, node: NodeModel, delta_ii: np.ndarray):
+        self.A, self.B = plant.A, plant.B
+        check_stabilizable(self.A, self.B)
+        self.Q = self.B @ self.B.T  # not plant.Q, whose symmetrized bits differ
+        q_norm = 1.0 + float(np.linalg.norm(plant.Q))
+        self.witness_Qs = []
+        for theta_rel in WITNESS_THETAS:
+            B_theta = np.linalg.cholesky(plant.Q + theta_rel * q_norm * np.eye(plant.n))
+            self.witness_Qs.append(B_theta @ B_theta.T)
+        self.CtRinvC = node.CtRinvC
+        self.delta_ii = np.asarray(delta_ii)
+        self.info = self.CtRinvC + self.delta_ii
+
+    def certify(self, m_inv: np.ndarray, decay_floor: float) -> NodeCertificate:
+        """Certificate at the symmetric PSD m_inv whose closed loop decays at
+        rate >= decay_floor; infeasible, with its ARE, before any witness
+        solve when the ARE's closed-loop abscissa is above -decay_floor."""
+        A, B = self.A, self.B
+        S = symmetrize(self.info - m_inv)
+        try:
+            are = stable_are_solution(A, self.Q, S)
+        except NoStabilizingSolution as exc:
+            return NodeCertificate(
+                feasible=False, node_id=-1, m_inv=m_inv, reason=str(exc)
+            )
+        if are.closed_loop_spectral_abscissa > -decay_floor:
+            return NodeCertificate(
+                feasible=False,
+                node_id=-1,
+                m_inv=m_inv,
+                are=are,
+                reason=f"closed loop decays slower than the floor {decay_floor:g}",
+            )
+
+        n, q = B.shape
+        for Q_theta in self.witness_Qs:
+            try:
+                are_theta = stable_are_solution(A, Q_theta, S)
+            except NoStabilizingSolution:
+                continue
+            X = symmetrize(np.linalg.inv(are_theta.Zplus))
+            block = np.empty((n + q, n + q))
+            # C^T R^-1 C and Delta_ii one at a time: grouping them changes bits
+            block[:n, :n] = symmetrize(
+                A.T @ X + X @ A - self.CtRinvC - self.delta_ii + m_inv
+            )
+            block[:n, n:] = X @ B
+            block[n:, :n] = B.T @ X
+            block[n:, n:] = -np.eye(q)
+            lam = float(np.linalg.eigvalsh(symmetrize(block))[-1])
+            if lam < LMI_STRICTNESS:
+                return NodeCertificate(
+                    feasible=True,
+                    node_id=-1,
+                    m_inv=m_inv,
+                    are=are,
+                    lmi_witness=X,
+                    lmi_margin=lam,
+                )
+        return NodeCertificate(
+            feasible=False,
+            node_id=-1,
+            m_inv=m_inv,
+            are=are,
+            reason="no strict LMI witness below the -1e-10 margin",
+        )
+
+
 def node_feasible(
     plant: PlantModel,
     node: NodeModel,
@@ -125,69 +213,23 @@ def node_feasible(
     Solves the ARE with S = C^T R^-1 C + Delta_ii - M^-1 for the
     gain-limit certificate, then extracts a strict witness X from the
     theta-inflated ARE and evaluates the assembled LMI block at it,
-    requiring lambda_max < -1e-10. Raises NotStabilizable when (A, B) fails
-    the PBH test; every other failure is reported as an infeasible
-    certificate with a reason.
+    requiring lambda_max < -1e-10. This is the node's _NodeProblem certified
+    at decay floor 0, which the ARE's Hurwitz check already implies; the PBH
+    test runs once, on (A, B), and raises NotStabilizable when it fails.
+    Every other failure is reported as an infeasible certificate with a
+    reason.
     """
     m_inv = require_psd(m_inv, "M_inv")
-    S = symmetrize(node.CtRinvC + np.asarray(delta_ii) - m_inv)
-    A, B = plant.A, plant.B
-    try:
-        are = solve_are_stabilizing(A, B, S)
-    except NoStabilizingSolution as exc:
-        return NodeCertificate(
-            feasible=False, node_id=-1, m_inv=m_inv, reason=str(exc)
-        )
-
-    q_norm = 1.0 + float(np.linalg.norm(plant.Q))
-    witness = None
-    margin = None
-    for theta_rel in WITNESS_THETAS:
-        theta = theta_rel * q_norm
-        try:
-            B_theta = np.linalg.cholesky(plant.Q + theta * np.eye(plant.n))
-            are_theta = solve_are_stabilizing(A, B_theta, S)
-        except NoStabilizingSolution:
-            continue
-        X = symmetrize(np.linalg.inv(are_theta.Zplus))
-        core = symmetrize(
-            A.T @ X + X @ A - node.CtRinvC - np.asarray(delta_ii) + m_inv
-        )
-        block = np.block([[core, X @ B], [B.T @ X, -np.eye(plant.q)]])
-        lam = float(np.linalg.eigvalsh(symmetrize(block))[-1])
-        if lam < LMI_STRICTNESS:
-            witness, margin = X, lam
-            break
-    if witness is None:
-        return NodeCertificate(
-            feasible=False,
-            node_id=-1,
-            m_inv=m_inv,
-            are=are,
-            reason="no strict LMI witness below the -1e-10 margin",
-        )
-    return NodeCertificate(
-        feasible=True,
-        node_id=-1,
-        m_inv=m_inv,
-        are=are,
-        lmi_witness=witness,
-        lmi_margin=margin,
-    )
+    return _NodeProblem(plant, node, delta_ii).certify(m_inv, 0.0)
 
 
-def _node_cap(net: Network, node_id: int, decay_floor: float) -> float | None:
+def _node_cap(problem: _NodeProblem, decay_floor: float) -> float | None:
     """Largest mu with a feasible node certificate whose closed loop decays
     at rate >= decay_floor; None when even mu = 0 is infeasible."""
-    plant = net.plant
-    node = net.node(node_id)
-    delta_ii = net.delta_block(node_id)
+    eye = np.eye(problem.A.shape[0])
 
     def ok(mu: float) -> bool:
-        cert = node_feasible(plant, node, delta_ii, mu * np.eye(plant.n))
-        return cert.feasible and (
-            cert.are.closed_loop_spectral_abscissa <= -decay_floor
-        )
+        return problem.certify(mu * eye, decay_floor).feasible
 
     if not ok(0.0):
         return None
@@ -227,12 +269,15 @@ def tune_scalar(net: Network, P: np.ndarray) -> TuningResult:
         stack = block_diag([mu * np.eye(n) for mu in mu_vec])
         return _minv_quantity(gm, stack, P)
 
+    problems = [
+        _NodeProblem(net.plant, net.node(i), net.delta_block(i)) for i in net.node_ids()
+    ]
     chosen = None
     last_diag = ""
     for floor in DECAY_FLOORS:
         caps = []
-        for i in net.node_ids():
-            cap = _node_cap(net, i, floor)
+        for i, problem in zip(net.node_ids(), problems):
+            cap = _node_cap(problem, floor)
             if cap is None:
                 raise Infeasible(
                     mu_lo_uniform,

@@ -103,3 +103,45 @@ def make_two_node_network(n=2, seed=0):
         ),
     ]
     return build_network(plant, nodes, [(1, 2)])
+
+
+def random_network(rng, N, n, ring=False):
+    """Random plant and nodes with random directed edges, among them the
+    ring i <- i + 1 (mod N) when ring is set; links have non-square,
+    non-identity W and non-identity F."""
+    q = int(rng.integers(1, n + 1))
+    plant = PlantModel(
+        A=0.5 * rng.standard_normal((n, n)) - np.eye(n),
+        B=0.3 * rng.standard_normal((n, q)),
+    )
+    edges = [
+        (i, j)
+        for i in range(1, N + 1)
+        for j in range(1, N + 1)
+        if i != j and (rng.random() < 0.6 or (ring and j == i % N + 1))
+    ]
+    nodes = []
+    for i in range(1, N + 1):
+        links = {}
+        for (a, j) in edges:
+            if a != i:
+                continue
+            m = int(rng.integers(1, 4))
+            G = rng.standard_normal((n, n))
+            links[j] = NeighborLink(
+                W=rng.standard_normal((m, n)),
+                F=np.diag(rng.uniform(0.4, 0.8, m)) + 0.1 * rng.standard_normal((m, m)),
+                Z=0.2 * (G @ G.T) + 0.1 * np.eye(n),
+            )
+        p = int(rng.integers(1, 3))
+        X = rng.standard_normal((n, n))
+        nodes.append(
+            NodeModel(
+                C=rng.standard_normal((p, n)),
+                D=np.diag(rng.uniform(0.5, 1.0, p)) + 0.1 * rng.standard_normal((p, p)),
+                xi=rng.standard_normal(n),
+                Xcal=0.1 * (X @ X.T) + np.eye(n),
+                links=links,
+            )
+        )
+    return build_network(plant, nodes, edges)

@@ -138,6 +138,18 @@ def test_infeasible_exit_code(tmp_path):
     assert main(["tune", str(scen), "--out", str(tmp_path / "t.yaml")]) == 2
 
 
+
+def test_unstabilizable_plant_exit_code(tmp_path, capsys):
+    # the unstable mode x1 is not reached by the disturbance
+    scen = write_small(tmp_path, SMALL.replace(
+        "plant: {A: [[-1.0, 0.3], [0.0, -2.0]], B: [[0.5, 0.0], [0.0, 0.5]]}",
+        "plant: {A: [[1.0, 0.0], [0.0, -1.0]], B: [[0.0], [1.0]]}",
+    ))
+    assert main(["tune", str(scen), "--out", str(tmp_path / "t.yaml")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: (A, B) not stabilizable: mode 1+0j" in err
+    assert "Traceback" not in err
+
 def test_missing_tuning_exit_code(tmp_path):
     scen = write_small(tmp_path)
     assert main(["simulate", str(scen), "--out", str(tmp_path / "y")]) == 1

@@ -13,14 +13,10 @@ from menf import (
     LostPositivity,
     MenfError,
     MissingTuning,
-    NeighborLink,
-    NodeModel,
     NonFinite,
-    PlantModel,
     Scenario,
     SingularGain,
     X0Law,
-    build_network,
     check_hinf,
     laplacian_P,
     make_isolated_variant,
@@ -37,6 +33,7 @@ from conftest import (
     chua_scenario,
     make_single_node_network,
     make_two_node_network,
+    random_network,
 )
 
 
@@ -338,48 +335,6 @@ def test_singular_gain_timestamp_two_nodes(m_inv_levels, when):
 # Stacked innovation operator against the per-node error dynamics
 # ---------------------------------------------------------------------------
 
-def _random_network(rng, N, n, ring=False):
-    """Random plant and nodes with random directed edges, among them the
-    ring i <- i + 1 (mod N) when ring is set; links have non-square,
-    non-identity W and non-identity F."""
-    q = int(rng.integers(1, n + 1))
-    plant = PlantModel(
-        A=0.5 * rng.standard_normal((n, n)) - np.eye(n),
-        B=0.3 * rng.standard_normal((n, q)),
-    )
-    edges = [
-        (i, j)
-        for i in range(1, N + 1)
-        for j in range(1, N + 1)
-        if i != j and (rng.random() < 0.6 or (ring and j == i % N + 1))
-    ]
-    nodes = []
-    for i in range(1, N + 1):
-        links = {}
-        for (a, j) in edges:
-            if a != i:
-                continue
-            m = int(rng.integers(1, 4))
-            G = rng.standard_normal((n, n))
-            links[j] = NeighborLink(
-                W=rng.standard_normal((m, n)),
-                F=np.diag(rng.uniform(0.4, 0.8, m)) + 0.1 * rng.standard_normal((m, m)),
-                Z=0.2 * (G @ G.T) + 0.1 * np.eye(n),
-            )
-        p = int(rng.integers(1, 3))
-        X = rng.standard_normal((n, n))
-        nodes.append(
-            NodeModel(
-                C=rng.standard_normal((p, n)),
-                D=np.diag(rng.uniform(0.5, 1.0, p)) + 0.1 * rng.standard_normal((p, p)),
-                xi=rng.standard_normal(n),
-                Xcal=0.1 * (X @ X.T) + np.eye(n),
-                links=links,
-            )
-        )
-    return build_network(plant, nodes, edges)
-
-
 def _random_channels(rng, net, dt):
     """On every channel: nothing, a pulse, held noise, or both summed."""
     where = [{"target": "w"}]
@@ -410,7 +365,7 @@ def _random_channels(rng, net, dt):
 @given(N=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_stacked_operator_matches_error_oracle(N, n, seed):
     rng = np.random.default_rng(seed)
-    net = _random_network(rng, N, n)
+    net = random_network(rng, N, n)
     scenario = Scenario(
         network=net,
         T=0.05,
@@ -453,7 +408,7 @@ def _assert_same_run(a, b):
 )
 def test_simulate_seeds_equals_one_run_per_seed(N, n, seed, seeds):
     rng = np.random.default_rng(seed)
-    net = _random_network(rng, N, n)
+    net = random_network(rng, N, n)
     scenario = Scenario(
         network=net,
         T=0.05,
@@ -558,7 +513,7 @@ def _random_scenario(rng, net, seed, T=0.05):
 def test_simulate_runs_equals_one_run_per_scenario(N, n, seed, node, order):
     # a network, its isolated variant and a second seed of each, in any order
     rng = np.random.default_rng(seed)
-    scenario = _random_scenario(rng, _random_network(rng, N, n), seed)
+    scenario = _random_scenario(rng, random_network(rng, N, n), seed)
     isolated = make_isolated_variant(scenario, min(node, N))
     pool = [scenario, isolated, replace(scenario, seed=seed + 1), replace(isolated, seed=seed + 1)]
     batch = [pool[k] for k in order]
@@ -692,7 +647,7 @@ def test_certified_tuning_meets_the_attenuation_bound(N, n, seed):
     tune_scalar certifies M and the gains stay positive definite, every run
     keeps int e^T P e dt within its disturbance budget."""
     rng = np.random.default_rng(seed)
-    net = _random_network(rng, N, n, ring=True)
+    net = random_network(rng, N, n, ring=True)
     P = laplacian_P(net, np.eye(n), ridge=0.01)
     dt = 1e-3
     try:

@@ -1,19 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menf import (
+    DimensionMismatch,
     Infeasible,
+    NoStabilizingSolution,
     NotPositiveDefinite,
+    NotStabilizable,
     assemble_global,
     check_minv,
     laplacian_P,
     node_feasible,
+    solve_are_stabilizing,
     tune_scalar,
     verify_tuning,
 )
+from menf.linalg import symmetrize
 from menf.model import NodeModel, PlantModel, build_network
+from menf.tuning import (
+    BISECT_RTOL,
+    DECAY_FLOORS,
+    LMI_STRICTNESS,
+    MU_HI,
+    WITNESS_THETAS,
+    _node_cap,
+    _NodeProblem,
+)
 
-from conftest import make_single_node_network
+from conftest import make_single_node_network, random_network
 
 
 def test_check_minv_identity_case():
@@ -85,6 +101,21 @@ def test_tune_scalar_chua_succeeds(chua_tuning):
     # weak nodes capped below the uniform bound: the profile is genuinely per-node
     mu = np.array(chua_tuning.mu_profile)
     assert mu[0] < chua_tuning.mu_lo_uniform < mu[1]
+    # the recorded numbers; the LMI margins are eigenvalues of blocks of norm
+    # up to 8e3 that cancel to 1e-6..1e-3, so they get an absolute roundoff
+    # allowance (one-ulp reorderings of the block move them by up to 3e-15)
+    assert chua_tuning.mu_profile == pytest.approx(
+        (2.6131421327590942, 23.80731964322426, 23.80731964322426,
+         5.470281466841698, 23.80731964322426),
+        rel=1e-12,
+    )
+    assert chua_tuning.minv_margin == pytest.approx(0.8865394401142036, rel=1e-12)
+    assert [c.lmi_margin for c in chua_tuning.node_certificates] == pytest.approx(
+        (-4.524019541029601e-06, -0.0007562101195909731, -0.0007614367750642471,
+         -4.5241154713679e-06, -0.0007562101195909731),
+        rel=1e-12,
+        abs=1e-12,
+    )
 
 
 def test_tune_scalar_huge_p_infeasible(chua_net, chua_P):
@@ -167,3 +198,127 @@ def test_verify_tuning_hook_rejects_bad_blocks(chua_net, chua_P):
     # uniform level above the weak-node cap: node LMI infeasible
     with pytest.raises(Infeasible):
         verify_tuning(chua_net, chua_P, [10.0 * np.eye(3)] * 5)
+
+
+# ---------------------------------------------------------------------------
+# The per-node problem against the predicate it replaced
+# ---------------------------------------------------------------------------
+
+def _composed_certificate(plant, node, delta_ii, m_inv):
+    """The node certificate composed from public solve_are_stabilizing calls
+    and an np.block LMI block, each solve with its own PBH test: the reference
+    the per-node problem must reproduce bit for bit. Returns (ARE solution or
+    None, witness or None, margin or None)."""
+    S = symmetrize(node.CtRinvC + np.asarray(delta_ii) - m_inv)
+    try:
+        are = solve_are_stabilizing(plant.A, plant.B, S)
+    except NoStabilizingSolution:
+        return None, None, None
+    q_norm = 1.0 + float(np.linalg.norm(plant.Q))
+    A, B = plant.A, plant.B
+    for theta_rel in WITNESS_THETAS:
+        theta = theta_rel * q_norm
+        B_theta = np.linalg.cholesky(plant.Q + theta * np.eye(plant.n))
+        try:
+            are_theta = solve_are_stabilizing(A, B_theta, S)
+        except NoStabilizingSolution:
+            continue
+        X = symmetrize(np.linalg.inv(are_theta.Zplus))
+        core = symmetrize(A.T @ X + X @ A - node.CtRinvC - np.asarray(delta_ii) + m_inv)
+        block = np.block([[core, X @ B], [B.T @ X, -np.eye(plant.q)]])
+        lam = float(np.linalg.eigvalsh(symmetrize(block))[-1])
+        if lam < LMI_STRICTNESS:
+            return are, X, lam
+    return are, None, None
+
+
+def _assert_same_certificate(cert, composed):
+    are, X, lam = composed
+    assert cert.feasible == (X is not None)
+    assert (cert.are is None) == (are is None)
+    if are is not None:
+        assert cert.are.Zplus.tobytes() == are.Zplus.tobytes()
+        assert cert.are.residual == are.residual
+        assert cert.are.closed_loop_spectral_abscissa == are.closed_loop_spectral_abscissa
+    if X is not None:
+        assert cert.lmi_witness.tobytes() == X.tobytes()
+        assert cert.lmi_margin == lam
+
+
+def _reference_cap(plant, node, delta_ii, floor):
+    """The cap bisection over public node_feasible and the decay floor, with
+    every certificate it decided on."""
+    eye = np.eye(plant.n)
+    probes = []
+
+    def ok(mu):
+        cert = node_feasible(plant, node, delta_ii, mu * eye)
+        probes.append((mu, cert))
+        return cert.feasible and cert.are.closed_loop_spectral_abscissa <= -floor
+
+    if not ok(0.0):
+        return None, probes
+    if ok(MU_HI):
+        return MU_HI, probes
+    lo, hi = 0.0, MU_HI
+    while hi - lo > BISECT_RTOL * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, probes
+
+
+def _assert_caps_match_reference(net):
+    plant = net.plant
+    for i in net.node_ids():
+        node, delta_ii = net.node(i), net.delta_block(i)
+        problem = _NodeProblem(plant, node, delta_ii)
+        for floor in DECAY_FLOORS[:3]:
+            cap, probes = _reference_cap(plant, node, delta_ii, floor)
+            assert _node_cap(problem, floor) == cap
+            # the decisions that fix the cap: both ends and the final bracket
+            for mu, cert in probes[:2] + probes[-2:]:
+                composed = _composed_certificate(plant, node, delta_ii, mu * np.eye(plant.n))
+                _assert_same_certificate(cert, composed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_node_cap_equals_the_bisection_over_node_feasible(N, n, seed):
+    net = random_network(np.random.default_rng(seed), N, n)
+    try:
+        _NodeProblem(net.plant, net.node(1), net.delta_block(1))
+    except NotStabilizable:
+        with pytest.raises(NotStabilizable):
+            node_feasible(net.plant, net.node(1), net.delta_block(1), np.zeros((n, n)))
+        return
+    _assert_caps_match_reference(net)
+
+
+def test_node_cap_equals_the_bisection_over_node_feasible_chua(chua_net):
+    _assert_caps_match_reference(chua_net)
+
+
+def _unstabilizable_network():
+    # the unstable mode x1 is not reached by the disturbance
+    plant = PlantModel(A=np.diag([1.0, -1.0]), B=np.array([[0.0], [1.0]]))
+    node = NodeModel(
+        C=np.eye(2), D=np.eye(2), xi=np.zeros(2), Xcal=np.eye(2), links={}
+    )
+    return build_network(plant, [node], [])
+
+
+def test_node_feasible_rejects_an_unstabilizable_plant():
+    net = _unstabilizable_network()
+    with pytest.raises(NotStabilizable):
+        node_feasible(net.plant, net.node(1), np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_tune_scalar_rejects_an_unstabilizable_plant_after_the_p_shape():
+    net = _unstabilizable_network()
+    with pytest.raises(DimensionMismatch):
+        tune_scalar(net, np.zeros((3, 3)))
+    with pytest.raises(NotStabilizable):
+        tune_scalar(net, np.zeros((2, 2)))
