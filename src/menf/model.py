@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, SelfLoop
-from .linalg import (
-    as_matrix,
-    as_vector,
-    block_diag,
-    require_spd,
-    require_psd,
-    symmetrize,
-)
+from .linalg import as_matrix, as_vector, require_psd, require_spd, symmetrize
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -198,15 +191,11 @@ class Network:
 
 @dataclass
 class GlobalMatrices:
-    """Stacked nN x nN matrices of the network: Delta, DeltaTilde, Ltilde,
-    block-diagonal C, R and (optionally) M."""
+    """Stacked nN x nN matrices of the network: Delta, DeltaTilde and Ltilde."""
 
     Delta: np.ndarray
     DeltaTilde: np.ndarray
     Ltilde: np.ndarray
-    Cstack: np.ndarray
-    Rstack: np.ndarray
-    Mstack: np.ndarray | None
 
 
 def build_network(plant: PlantModel, nodes, edges) -> Network:
@@ -255,13 +244,11 @@ def build_network(plant: PlantModel, nodes, edges) -> Network:
     return Network(plant=plant, nodes=nodes, edges=tuple(edge_set))
 
 
-def assemble_global(net: Network, M_blocks=None) -> GlobalMatrices:
-    """Assemble the stacked matrices Delta, DeltaTilde, Ltilde, C, R, M.
+def assemble_global(net: Network) -> GlobalMatrices:
+    """Assemble the stacked matrices Delta, DeltaTilde and Ltilde.
 
-    Ltilde's blocks: diagonal block i equals DeltaTilde's block i; block
-    (i, j) is -W^T U^-1 W for j in N_i and zero otherwise. M_blocks may be
-    None when only the M-independent matrices are needed (e.g. by tuning);
-    each given M_i must be symmetric positive definite.
+    Ltilde's blocks: diagonal block i is DeltaTilde's block i; block (i, j)
+    is -W^T U^-1 W for j in N_i and zero otherwise.
     """
     n, N = net.n, net.N
     Delta = np.zeros((n * N, n * N))
@@ -273,53 +260,12 @@ def assemble_global(net: Network, M_blocks=None) -> GlobalMatrices:
 
     for i in net.node_ids():
         Delta[blk(i, i)] = net.delta_block(i)
-        DeltaTilde[blk(i, i)] = net.delta_tilde_block(i)
-        Ltilde[blk(i, i)] = net.delta_tilde_block(i)
+        DeltaTilde[blk(i, i)] = Ltilde[blk(i, i)] = net.delta_tilde_block(i)
         for j in net.neighbors[i]:
             Ltilde[blk(i, j)] = -net.link(i, j).WtUinvW
-
-    # The diagonal of Ltilde must coincide with DeltaTilde block-wise.
-    for i in net.node_ids():
-        if not np.array_equal(Ltilde[blk(i, i)], DeltaTilde[blk(i, i)]):
-            raise AssertionError("Ltilde diagonal does not match DeltaTilde")
 
     Delta = symmetrize(Delta)
     DeltaTilde = symmetrize(DeltaTilde)
     require_psd(Delta, "Delta")
     require_psd(DeltaTilde, "DeltaTilde")
-
-    Cstack = _stack_rectangular([node.C for node in net.nodes], n)
-    Rstack = block_diag([node.R for node in net.nodes])
-
-    Mstack = None
-    if M_blocks is not None:
-        M_blocks = list(M_blocks)
-        if len(M_blocks) != N:
-            raise DimensionMismatch(f"expected {N} M blocks, got {len(M_blocks)}")
-        checked = []
-        for i, M in enumerate(M_blocks, start=1):
-            M = require_spd(M, f"M_{i}")
-            if M.shape != (n, n):
-                raise DimensionMismatch(f"M_{i} must be {n}x{n}, got {M.shape}")
-            checked.append(M)
-        Mstack = block_diag(checked)
-
-    return GlobalMatrices(
-        Delta=Delta,
-        DeltaTilde=DeltaTilde,
-        Ltilde=Ltilde,
-        Cstack=Cstack,
-        Rstack=Rstack,
-        Mstack=Mstack,
-    )
-
-
-def _stack_rectangular(blocks, n: int) -> np.ndarray:
-    """Block-diagonal stack of p_i x n blocks (rows ragged, columns uniform)."""
-    rows = sum(b.shape[0] for b in blocks)
-    out = np.zeros((rows, n * len(blocks)))
-    r = 0
-    for k, b in enumerate(blocks):
-        out[r:r + b.shape[0], n * k:n * (k + 1)] = b
-        r += b.shape[0]
-    return out
+    return GlobalMatrices(Delta=Delta, DeltaTilde=DeltaTilde, Ltilde=Ltilde)

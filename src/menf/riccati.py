@@ -253,19 +253,15 @@ def stacked_coefficients(
     """Coefficients of the stacked nN x nN gain equation."""
     N = net.N
     eye_n = np.eye(N)
-    obs = gm.Cstack.T @ np.linalg.solve(gm.Rstack, gm.Cstack)
     m_inv_blocks = list(m_inv_blocks)
     if len(m_inv_blocks) != N:
         raise DimensionMismatch(f"expected {N} M^-1 blocks, got {len(m_inv_blocks)}")
-    m_inv = np.zeros((net.n * N, net.n * N))
-    for i, blk in enumerate(m_inv_blocks):
-        m_inv[net.n * i:net.n * (i + 1), net.n * i:net.n * (i + 1)] = blk
     return RiccatiCoefficients(
         A=np.kron(eye_n, net.plant.A),
         Q=np.kron(eye_n, net.plant.Q),
-        obs_info=symmetrize(obs),
+        obs_info=block_diag([node.CtRinvC for node in net.nodes]),
         comm_info=gm.Delta,
-        m_inv=m_inv,
+        m_inv=block_diag(m_inv_blocks),
     )
 
 
@@ -310,6 +306,9 @@ def stable_are_solution(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> AreSolut
     H[:n, n:] = -S
     H[n:, :n] = -Q
     H[n:, n:] = -A
+    # Decided before the Schur form, not read off it: on a spectrum this
+    # close to the axis the sorted decomposition can itself fail
+    # (LinAlgError: eigenvalues do not satisfy the sort condition).
     ev = np.linalg.eigvals(H)
     axis_tol = IMAG_AXIS_TOL * float(np.linalg.norm(H))
     if np.min(np.abs(ev.real)) < axis_tol:

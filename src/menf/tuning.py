@@ -12,20 +12,23 @@ bisected first (with a closed-loop decay-rate floor, relaxed over a ladder
 if needed), then one shared level t is bisected so that the profile
 mu_i = min(t, cap_i) clears the stacked condition with half the maximum
 achievable margin. The search degenerates to a single uniform scalar
-whenever no cap binds. Every returned profile is re-verified by
-verify_tuning, an independent evaluation of both conditions.
+whenever no cap binds. tune_scalar and verify_tuning return through one
+certification of both conditions: the stacked margin evaluated on the
+M_i^-1 blocks themselves, the ones returned and written out, and each
+node's certificate at decay floor 0.
 
 Strictness: at an exact ARE solution the node LMI block has lambda_max = 0,
 so the strict witness X_i is taken from the ARE with constant term inflated
 to B B^T + theta I, which shifts the block to -theta X_i^2 < 0.
 
-Cost: each node's inequality is one _NodeProblem, built once per
-tune_scalar and shared by every decay-floor rung. It runs the PBH test of
+Cost: a tune_scalar or verify_tuning call assembles the stacked matrices
+once and builds each node's inequality once, as a _NodeProblem that every
+decay-floor rung and the final certification share. It runs the PBH test of
 (A, B) once (the theta-inflated pencils need none, their B_theta being
 nonsingular) and holds the constant terms, so a certificate costs one
 Hamiltonian solve, plus the witness solves only when the closed loop meets
-the decay floor. node_feasible, the cap bisection and verify_tuning all
-certify through its one method.
+the decay floor. node_feasible, the cap bisection and the certification
+all certify through its one method.
 """
 
 from __future__ import annotations
@@ -103,8 +106,33 @@ def laplacian_P(net: Network, P0: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return symmetrize(P)
 
 
-def _minv_quantity(gm: GlobalMatrices, m_inv_stack: np.ndarray, P: np.ndarray) -> float:
-    gap = m_inv_stack - P + gm.Ltilde + gm.Ltilde.T - gm.DeltaTilde
+def _require_P(gm: GlobalMatrices, P: np.ndarray) -> np.ndarray:
+    """P symmetrized, after checking that it is symmetric and nN x nN, nN
+    being the order of gm's matrices."""
+    P = require_symmetric(P, "P")
+    nN = gm.Ltilde.shape[0]
+    if P.shape != (nN, nN):
+        raise DimensionMismatch(f"P must be {nN}x{nN}, got {P.shape}")
+    return P
+
+
+def _stacked_margin(gm: GlobalMatrices, P: np.ndarray, m_inv_blocks) -> float:
+    """Smallest eigenvalue of blkdiag(M_i^-1) - P + Ltilde + Ltilde^T - DeltaTilde.
+
+    Positive iff the stacked condition holds strictly. P is as _require_P
+    returns it; the blocks must be square, of one order n, and nN / n of
+    them, or DimensionMismatch is raised before any margin is evaluated.
+    """
+    nN = P.shape[0]
+    N = len(m_inv_blocks)
+    n = nN // N if N else 0
+    shapes = {np.shape(b) for b in m_inv_blocks}
+    if N * n != nN or shapes != {(n, n)}:
+        raise DimensionMismatch(
+            f"M^-1 must be square blocks of one order filling {nN}x{nN}, "
+            f"got {N} blocks of shapes {sorted(shapes)}"
+        )
+    gap = block_diag(m_inv_blocks) - P + gm.Ltilde + gm.Ltilde.T - gm.DeltaTilde
     return float(np.linalg.eigvalsh(symmetrize(gap))[0])
 
 
@@ -112,14 +140,14 @@ def check_minv(gm: GlobalMatrices, M_blocks, P: np.ndarray) -> float:
     """Smallest eigenvalue of blkdiag(M_i^-1) - P + Ltilde + Ltilde^T - DeltaTilde.
 
     Positive iff the stacked condition holds strictly. Each M_i must be
-    symmetric positive definite.
+    symmetric positive definite, P nN x nN and the blocks N of n x n, or
+    DimensionMismatch is raised.
     """
-    P = require_symmetric(P, "P")
     inv_blocks = []
     for i, M in enumerate(M_blocks, start=1):
         M = require_spd(M, f"M_{i}")
         inv_blocks.append(symmetrize(np.linalg.inv(M)))
-    return _minv_quantity(gm, block_diag(inv_blocks), P)
+    return _stacked_margin(gm, _require_P(gm, P), inv_blocks)
 
 
 class _NodeProblem:
@@ -245,6 +273,44 @@ def _node_cap(problem: _NodeProblem, decay_floor: float) -> float | None:
     return lo
 
 
+def _node_problems(net: Network) -> list[_NodeProblem]:
+    return [_NodeProblem(net.plant, net.node(i), net.delta_block(i)) for i in net.node_ids()]
+
+
+def _certify(gm: GlobalMatrices, problems, P: np.ndarray, m_inv_blocks) -> TuningResult:
+    """The one certification of a profile: the stacked margin at the blocks
+    M_i^-1 themselves, then each node's problem at decay floor 0. Each block
+    must be symmetric positive definite, one per node; raises Infeasible,
+    naming the condition, when either fails."""
+    m_inv_blocks = tuple(
+        require_spd(b, f"M_inv_{i}") for i, b in enumerate(m_inv_blocks, start=1)
+    )
+    if len(m_inv_blocks) != len(problems):
+        raise DimensionMismatch(
+            f"expected {len(problems)} M^-1 blocks, got {len(m_inv_blocks)}"
+        )
+    P = _require_P(gm, P)
+    minv_margin = _stacked_margin(gm, P, m_inv_blocks)
+    if minv_margin <= 0.0:
+        raise Infeasible(float("nan"), float("nan"), f"margin {minv_margin:.4g} <= 0")
+    certificates = []
+    for i, (problem, m_inv) in enumerate(zip(problems, m_inv_blocks), start=1):
+        cert = problem.certify(m_inv, 0.0)
+        cert.node_id = i
+        if not cert.feasible:
+            raise Infeasible(
+                float("nan"), float("nan"), f"node {i} infeasible: {cert.reason}"
+            )
+        certificates.append(cert)
+    return TuningResult(
+        M_blocks=tuple(symmetrize(np.linalg.inv(b)) for b in m_inv_blocks),
+        m_inv_blocks=m_inv_blocks,
+        P=P,
+        minv_margin=minv_margin,
+        node_certificates=tuple(certificates),
+    )
+
+
 def tune_scalar(net: Network, P: np.ndarray) -> TuningResult:
     """Search a per-node scalar profile M_i^-1 = mu_i I with certificates.
 
@@ -253,25 +319,20 @@ def tune_scalar(net: Network, P: np.ndarray) -> TuningResult:
     the smallest value reaching half the maximum margin, and
     mu_i = min(t, cap_i). Raises Infeasible (with the uniform-scalar lower
     bound mu_lo as diagnosis) when no floor admits a profile or the chosen
-    profile fails verify_tuning.
+    profile fails its certification.
     """
-    P = require_symmetric(P, "P")
-    gm = assemble_global(net, None)
-    n, N = net.n, net.N
-    if P.shape != (n * N, n * N):
-        raise DimensionMismatch(f"P must be {n * N}x{n * N}, got {P.shape}")
+    gm = assemble_global(net)
+    P = _require_P(gm, P)
+    eye = np.eye(net.n)
 
     mu_lo_uniform = float(
         np.linalg.eigvalsh(symmetrize(P - gm.Ltilde - gm.Ltilde.T + gm.DeltaTilde))[-1]
     )
 
     def profile_margin(mu_vec: np.ndarray) -> float:
-        stack = block_diag([mu * np.eye(n) for mu in mu_vec])
-        return _minv_quantity(gm, stack, P)
+        return _stacked_margin(gm, P, mu_vec[:, None, None] * eye)
 
-    problems = [
-        _NodeProblem(net.plant, net.node(i), net.delta_block(i)) for i in net.node_ids()
-    ]
+    problems = _node_problems(net)
     chosen = None
     last_diag = ""
     for floor in DECAY_FLOORS:
@@ -314,10 +375,10 @@ def tune_scalar(net: Network, P: np.ndarray) -> TuningResult:
     mu_profile = np.minimum(hi, caps)
 
     try:
-        result = verify_tuning(net, P, [mu * np.eye(n) for mu in mu_profile])
+        result = _certify(gm, problems, P, [mu * eye for mu in mu_profile])
     except Infeasible as exc:
         raise Infeasible(
-            mu_lo_uniform, MU_HI, f"re-verification failed: {exc.detail}"
+            mu_lo_uniform, MU_HI, f"certification failed: {exc.detail}"
         ) from exc
     return replace(
         result,
@@ -328,34 +389,10 @@ def tune_scalar(net: Network, P: np.ndarray) -> TuningResult:
 
 
 def verify_tuning(net: Network, P: np.ndarray, m_inv_blocks) -> TuningResult:
-    """Re-verify externally supplied M_i^-1 blocks against both conditions.
+    """Certify externally supplied M_i^-1 blocks against both conditions.
 
     Accepts any positive definite blocks (e.g. from an external SDP solver)
-    and returns the same certificate structure tune_scalar produces; raises
-    Infeasible when either condition fails.
+    and returns the same certificate structure tune_scalar produces, through
+    the same certification; raises Infeasible when either condition fails.
     """
-    m_inv_blocks = tuple(
-        require_spd(b, f"M_inv_{i}") for i, b in enumerate(m_inv_blocks, start=1)
-    )
-    M_blocks = tuple(symmetrize(np.linalg.inv(b)) for b in m_inv_blocks)
-    minv_margin = check_minv(assemble_global(net, M_blocks), M_blocks, P)
-    if minv_margin <= 0.0:
-        raise Infeasible(float("nan"), float("nan"), f"margin {minv_margin:.4g} <= 0")
-    certificates = []
-    for i in net.node_ids():
-        cert = node_feasible(
-            net.plant, net.node(i), net.delta_block(i), m_inv_blocks[i - 1]
-        )
-        cert.node_id = i
-        if not cert.feasible:
-            raise Infeasible(
-                float("nan"), float("nan"), f"node {i} infeasible: {cert.reason}"
-            )
-        certificates.append(cert)
-    return TuningResult(
-        M_blocks=M_blocks,
-        m_inv_blocks=m_inv_blocks,
-        P=require_symmetric(P, "P"),
-        minv_margin=minv_margin,
-        node_certificates=tuple(certificates),
-    )
+    return _certify(assemble_global(net), _node_problems(net), P, m_inv_blocks)

@@ -148,7 +148,7 @@ def test_criterion_05_error_dynamics_oracle(chua_run):
 
 def test_criterion_06_stacked_riccati_equivalence(chua_net, chua_tuning):
     t_grid = np.arange(0, 10.0 + 1e-12, 1e-3)
-    gm = assemble_global(chua_net, chua_tuning.M_blocks)
+    gm = assemble_global(chua_net)
     K0_blocks = [10.0 * np.eye(3)] * 5
     stacked = integrate_global_riccati(
         chua_net, gm, K0_blocks, t_grid, chua_tuning.m_inv_blocks
@@ -189,7 +189,7 @@ def test_criterion_07_consensus_cost_identity(networked_runs):
 
 def test_criterion_08_tuning_certificates(chua_net, chua_P, chua_tuning):
     # independent re-verification, outside the tuner's own code path
-    gm = assemble_global(chua_net, chua_tuning.M_blocks)
+    gm = assemble_global(chua_net)
     margin = check_minv(gm, chua_tuning.M_blocks, chua_P)
     assert margin > 0.0
     lmi_margins = []

@@ -18,6 +18,7 @@ from menf import (
     solve_are_stabilizing,
     verify_prop1_limit,
 )
+from menf.riccati import stable_are_solution
 
 from conftest import chua_scenario
 
@@ -276,3 +277,23 @@ def test_prop1_precondition_enforced():
         verify_prop1_limit(traj, sol)
     report = verify_prop1_limit(traj, sol, enforce_precondition=False)
     assert not report.k0_dominates
+
+
+def test_near_axis_hamiltonian_raises_no_stabilizing_solution():
+    # A cap-bisection step on one of perfbench's tune-sweep networks (seed
+    # 101): every eigenvalue of H has a real part of order 1e-15. The sorted
+    # Schur decomposition of this H raises LinAlgError ("eigenvalues do not
+    # satisfy the sort condition"), so the axis test must come before it.
+    A = np.array([
+        [-3.341930401795378, 9.859421033341572, 0.0],
+        [1.009127818522941, -0.9794328561196928, 1.0422725686422916],
+        [0.0, -14.667973839894007, 0.0],
+    ])
+    Q = 0.13872081490237975 * np.eye(3)
+    S = np.array([
+        [-8709.670958307208, -166.9439724575893, 2557.387315707238],
+        [-166.9439724575893, -9970.247568113284, -332.9460534868671],
+        [2557.387315707238, -332.9460534868671, -4891.63603955225],
+    ])
+    with pytest.raises(NoStabilizingSolution, match="imaginary axis"):
+        stable_are_solution(A, Q, S)

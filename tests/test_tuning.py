@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from menf import (
     DimensionMismatch,
@@ -19,6 +20,7 @@ from menf import (
 )
 from menf.linalg import symmetrize
 from menf.model import NodeModel, PlantModel, build_network
+import menf.tuning
 from menf.tuning import (
     BISECT_RTOL,
     DECAY_FLOORS,
@@ -48,7 +50,7 @@ def test_check_minv_rejects_non_pd_m():
 
 
 def test_check_minv_chua_tuned_positive(chua_net, chua_P, chua_tuning):
-    gm = assemble_global(chua_net, chua_tuning.M_blocks)
+    gm = assemble_global(chua_net)
     margin = check_minv(gm, chua_tuning.M_blocks, chua_P)
     assert margin > 0
     assert margin == pytest.approx(chua_tuning.minv_margin, rel=1e-9)
@@ -188,10 +190,88 @@ def test_consensus_cost_identity_pointwise(chua_net):
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _assert_certified_at_the_shipped_blocks(net, P, tuning):
+    """verify_tuning on a tune's own M^-1 blocks reproduces its certificates
+    bit for bit, and its margin is the stacked condition at those blocks, not
+    at the inverses of the M blocks."""
+    result = verify_tuning(net, P, tuning.m_inv_blocks)
+    assert result.minv_margin == tuning.minv_margin
+    assert len(result.node_certificates) == len(tuning.node_certificates) == net.N
+    for cert, tuned in zip(result.node_certificates, tuning.node_certificates):
+        assert cert.feasible
+        assert cert.lmi_margin == tuned.lmi_margin
+        assert cert.lmi_witness.tobytes() == tuned.lmi_witness.tobytes()
+        assert cert.are.Zplus.tobytes() == tuned.are.Zplus.tobytes()
+    gm = assemble_global(net)
+    Lt, Dt = gm.Ltilde, gm.DeltaTilde
+    gap = block_diag(*tuning.m_inv_blocks) - P + Lt + Lt.T - Dt
+    assert tuning.minv_margin == np.linalg.eigvalsh(symmetrize(gap))[0]
+
+
 def test_verify_tuning_hook_accepts_tuned_blocks(chua_net, chua_P, chua_tuning):
-    result = verify_tuning(chua_net, chua_P, chua_tuning.m_inv_blocks)
-    assert result.minv_margin == pytest.approx(chua_tuning.minv_margin, rel=1e-9)
-    assert all(c.feasible for c in result.node_certificates)
+    _assert_certified_at_the_shipped_blocks(chua_net, chua_P, chua_tuning)
+
+
+@settings(max_examples=15, deadline=None)
+@given(N=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(N=3, n=2, seed=0)  # inv(M_i) differs from the tuned M_i^-1 in its last bits
+def test_verify_tuning_hook_accepts_tuned_blocks_random(N, n, seed):
+    net = random_network(np.random.default_rng(seed), N, n)
+    P = laplacian_P(net, np.eye(n), 0.01)
+    try:
+        tuning = tune_scalar(net, P)
+    except (Infeasible, NotStabilizable):
+        return
+    _assert_certified_at_the_shipped_blocks(net, P, tuning)
+
+
+def test_tune_scalar_assembles_once_and_builds_each_node_problem_once(
+    chua_net, chua_P, monkeypatch
+):
+    calls = {"assemble_global": 0, "_NodeProblem": 0}
+    assemble, init = menf.tuning.assemble_global, _NodeProblem.__init__
+
+    def counted_assemble(*args):
+        calls["assemble_global"] += 1
+        return assemble(*args)
+
+    def counted_init(self, *args):
+        calls["_NodeProblem"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(menf.tuning, "assemble_global", counted_assemble)
+    monkeypatch.setattr(_NodeProblem, "__init__", counted_init)
+    tune_scalar(chua_net, chua_P)
+    assert calls == {"assemble_global": 1, "_NodeProblem": chua_net.N}
+
+
+_BAD_STACKED_SHAPES = {
+    "P-12x12": lambda blocks, P: (blocks, np.eye(12)),
+    "4-blocks": lambda blocks, P: (blocks[:4], P),
+    "6-blocks": lambda blocks, P: (blocks + blocks[:1], P),
+    "2x2-blocks": lambda blocks, P: ([b[:2, :2] for b in blocks], P),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_STACKED_SHAPES))
+@pytest.mark.parametrize("check", ["check_minv", "verify_tuning"])
+def test_stacked_shapes_raise_dimension_mismatch(check, case, chua_net, chua_P, chua_tuning):
+    # Chua is 5 nodes of order 3: P must be 15 x 15, M^-1 five 3 x 3 blocks
+    reshape = _BAD_STACKED_SHAPES[case]
+    with pytest.raises(DimensionMismatch):
+        if check == "check_minv":
+            blocks, P = reshape(list(chua_tuning.M_blocks), chua_P)
+            check_minv(assemble_global(chua_net), blocks, P)
+        else:
+            blocks, P = reshape(list(chua_tuning.m_inv_blocks), chua_P)
+            verify_tuning(chua_net, P, blocks)
+
+
+def test_verify_tuning_rejects_blocks_of_another_order(chua_net, chua_P):
+    # fifteen 1 x 1 blocks fill 15 x 15 as five 3 x 3 blocks do, but one
+    # node's M_i^-1 is 3 x 3
+    with pytest.raises(DimensionMismatch):
+        verify_tuning(chua_net, chua_P, [30.0 * np.eye(1)] * 15)
 
 
 def test_verify_tuning_hook_rejects_bad_blocks(chua_net, chua_P):
