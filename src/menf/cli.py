@@ -34,7 +34,9 @@ from .errors import (
 from .scenario_io import (
     _blocks,
     _check_mapping,
+    _number,
     _safe_load,
+    _seed,
     bundled_chua_text,
     document_hash,
     document_to_scenario,
@@ -290,7 +292,9 @@ _MANIFEST_KEYS = ("scenario", "scenario_sha256", "seed", "version", "m_inv", "hy
 _HYPOTHESIS_KEYS = ("minv_margin", "gains_positive_definite", "min_gain_eigenvalue")
 
 
-def _load_manifest(traj_dir: Path) -> dict:
+def _load_manifest(traj_dir: Path):
+    """The manifest of a run and the scenario it records, each field
+    checked: exit 1 names the first bad one."""
     manifest_path = traj_dir / "manifest.yaml"
     if not manifest_path.exists():
         raise ScenarioFormatError("manifest.yaml not found", str(traj_dir))
@@ -298,10 +302,27 @@ def _load_manifest(traj_dir: Path) -> dict:
     manifest = _safe_load(manifest_path.read_text(encoding="utf-8"), source)
     _check_mapping(manifest, _MANIFEST_KEYS, ("scenario", "m_inv"), source)
     _blocks(manifest["m_inv"], f"{source}: m_inv")
-    _check_mapping(manifest.get("hypotheses", {}), _HYPOTHESIS_KEYS, (), f"{source}: hypotheses")
-    # Revalidate the embedded document before trusting it.
-    validate_document(manifest["scenario"], source=source)
-    return manifest
+    where = f"{source}: hypotheses"
+    hypotheses = _check_mapping(manifest.get("hypotheses", {}), _HYPOTHESIS_KEYS, (), where)
+    for key in ("minv_margin", "min_gain_eigenvalue"):
+        if key in hypotheses:
+            _number(hypotheses[key], f"{where}.{key}")
+    if not isinstance(hypotheses.get("gains_positive_definite", False), bool):
+        raise ScenarioFormatError("expected true or false", f"{where}.gains_positive_definite")
+    # Revalidate the embedded document before trusting it, then the
+    # record of its seed and hash against it.
+    doc = validate_document(manifest["scenario"], source=source)
+    scenario = document_to_scenario(
+        doc,
+        m_inv_blocks=[np.array(b) for b in manifest["m_inv"]],
+        minv_margin=hypotheses.get("minv_margin"),
+        m_inv_source=f"{source}: m_inv",
+    )
+    if _seed(manifest.get("seed", scenario.seed), f"{source}: seed") != scenario.seed:
+        raise ScenarioFormatError(f"differs from sim.seed {scenario.seed}", f"{source}: seed")
+    if "scenario_sha256" in manifest and manifest["scenario_sha256"] != document_hash(doc):
+        raise ScenarioFormatError("differs from the scenario's hash", f"{source}: scenario_sha256")
+    return manifest, scenario
 
 
 def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
@@ -348,14 +369,8 @@ def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
 
 def _cmd_verify(args) -> int:
     traj_dir = Path(args.traj_dir)
-    manifest = _load_manifest(traj_dir)
+    manifest, scenario = _load_manifest(traj_dir)
     doc = manifest["scenario"]
-    scenario = document_to_scenario(
-        doc,
-        m_inv_blocks=[np.array(b) for b in manifest["m_inv"]],
-        minv_margin=manifest.get("hypotheses", {}).get("minv_margin"),
-        m_inv_source=f"{traj_dir / 'manifest.yaml'}: m_inv",
-    )
     traj = _load_trajectories(traj_dir, scenario)
     traj.hypotheses = dict(manifest.get("hypotheses", {}))
     P = tuning_P_from_document(

@@ -45,23 +45,23 @@ def stacked_operator(net: Network) -> np.ndarray:
     return M
 
 
-def disturbance_term(net: Network, real, mids: np.ndarray) -> np.ndarray:
-    """(len(mids), n + Nn) inputs [B w_k; g_k] of a realization on its panel
-    values at the step midpoints mids, with
+def disturbance_term(net: Network, real, k0: int, k1: int) -> np.ndarray:
+    """(k1 - k0, n + Nn) inputs [B w_k; g_k] of a realization on the steps
+    k0..k1-1, from its panel values, with
     g_k,i = C_i^T R_i^-1 D_i v_i + sum_j W_ij^T U_ij^-1 F_ij eps_ij.
 
-    One channel is evaluated at a time, so no more than one channel's
-    panel values are held at once.
+    One channel is read at a time, so no more than one channel's panel
+    values are held at once.
     """
     n = net.n
-    d = np.zeros((len(mids), n + net.N * n))
-    d[:, :n] = real.w.values(mids) @ net.plant.B.T
+    d = np.zeros((k1 - k0, n + net.N * n))
+    d[:, :n] = real.w.panels(k0, k1) @ net.plant.B.T
     for i in net.node_ids():
         node = net.node(i)
-        d[:, n * i:n * (i + 1)] += real.v[i].values(mids) @ (node.CtRinv @ node.D).T
+        d[:, n * i:n * (i + 1)] += real.v[i].panels(k0, k1) @ (node.CtRinv @ node.D).T
     for (i, j) in net.edges:
         link = net.link(i, j)
-        d[:, n * i:n * (i + 1)] += real.eps[(i, j)].values(mids) @ (link.WtUinv @ link.F).T
+        d[:, n * i:n * (i + 1)] += real.eps[(i, j)].panels(k0, k1) @ (link.WtUinv @ link.F).T
     return d
 
 

@@ -45,13 +45,16 @@ no run's state is stepped twice, only the gain steps after the failure in
 its chunk are stepped again for the variants that go on, and the batch
 raises the failure of its first failing run.
 
-All built-in disturbance kinds (zero, pulse, held-gaussian) are piecewise
-constant with breakpoints snapped to the grid. Each signal is evaluated
-for a whole array of times at once: at step midpoints, which equals its
-value at every interior stage time and keeps the scheme at full order
-across pulse edges, and at the grid points for the stored samples, where
-pulse edges are closed. A channel's energy is dt times the sum of its
-squared panel values, exact for every built-in kind.
+Disturbances live on the integer step grid. realize_disturbances compiles
+each channel into one signal, a sum of parts: a pulse is one frame on the
+steps between its snapped edges, a held-gaussian one frame per hold window
+of whole steps, and a zero spec adds nothing. A signal is read only by
+step index: panels(k0, k1) gives the values held on steps k0..k1-1, which
+the integrator uses at every stage, so the scheme keeps full order across
+pulse edges; samples(steps) gives the grid samples stored for the
+verifier, each the value of the step after its grid point (the last
+step's at T), so pulse edges are closed; and energy(steps, dt) is dt times
+the sum of the squared panel values, the exact squared L2 norm.
 
 Everything is deterministic given the scenario seed: the initial state and
 each disturbance channel draw from independent streams spawned from the
@@ -90,12 +93,15 @@ GRID_TOL = 1e-9
 @dataclass
 class DisturbanceSpec:
     """One disturbance channel: kind in {zero, pulse, held_gaussian};
-    target "w", or "v" with node, or "eps" with edge=(i, j).
+    target "w", or "v" with node, or "eps" with edge=(i, j). Only a "v"
+    spec takes a node and only an "eps" spec an edge.
 
     Pulse: amplitude (scalar broadcast or per-component vector) on
-    [start, start + duration]. Held-gaussian: i.i.d. N(mean, std^2) values
-    held constant over consecutive `hold`-second windows, truncated at the
-    horizon so realizations stay square-integrable.
+    [start, start + duration], both edges snapped to the nearest grid
+    point. Held-gaussian: i.i.d. N(mean, std^2) values, each held over
+    `hold` seconds snapped to a whole number of steps, drawn only for the
+    steps of the horizon so realizations stay square-integrable. Zero adds
+    nothing to its channel.
     """
 
     kind: str
@@ -115,10 +121,10 @@ class DisturbanceSpec:
             raise DimensionMismatch(f"unknown disturbance kind {self.kind!r}")
         if self.target not in ("w", "v", "eps"):
             raise DimensionMismatch(f"unknown disturbance target {self.target!r}")
-        if self.target == "v" and self.node is None:
-            raise DimensionMismatch("target 'v' needs a node id")
-        if self.target == "eps" and self.edge is None:
-            raise DimensionMismatch("target 'eps' needs an edge (i, j)")
+        if (self.target == "v") != (self.node is not None):
+            raise DimensionMismatch("target 'v' needs a node id; no other target takes one")
+        if (self.target == "eps") != (self.edge is not None):
+            raise DimensionMismatch("target 'eps' needs an edge (i, j); no other takes one")
         if self.edge is not None:
             self.edge = (int(self.edge[0]), int(self.edge[1]))
 
@@ -130,7 +136,9 @@ class DisturbanceSpec:
         return ("eps", self.edge[0], self.edge[1])
 
 
-def _snap_to_grid(value: float, dt: float, what: str) -> float:
+def _snap_to_grid(value: float, dt: float, what: str) -> int:
+    """The index of the grid point nearest to value; warns when value is
+    not on the grid."""
     k = round(value / dt)
     snapped = k * dt
     if abs(snapped - value) > GRID_TOL * max(1.0, abs(value)):
@@ -138,78 +146,47 @@ def _snap_to_grid(value: float, dt: float, what: str) -> float:
             f"{what} {value} not aligned with dt={dt}; snapped to {snapped}",
             stacklevel=3,
         )
-    return snapped
-
-
-def _midpoints(k0: int, k1: int, dt: float) -> np.ndarray:
-    """Midpoints of steps k0..k1-1."""
-    return np.arange(k0, k1) * dt + 0.5 * dt
+    return k
 
 
 class _Signal:
-    """Disturbance signal, constant on every integration panel."""
+    """One disturbance channel: a sum of parts on the integer step grid.
+
+    A part (a, b, h, frames) carries frames[(k - a) // h] on the steps
+    a <= k < b. At a grid point a <= k <= b it carries the value of the
+    step after the point, and at b the value of its last step, so a
+    pulse's grid samples carry its amplitude at both edges.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
+        self.parts = []
 
-    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
-        """(len(t), dim) values at the times t.
-
-        Evaluated at step midpoints these are the panel values the
-        integrator uses. closed=True gives the grid samples stored for the
-        verifier, where a pulse carries its amplitude at both edges.
-        """
-        raise NotImplementedError
-
-    def energy_on(self, T: float, dt: float) -> float:
-        """Exact squared L2 norm on [0, T]: dt * sum of squared panel values,
-        since every built-in kind is constant on each panel."""
-        panels = self.values(_midpoints(0, int(round(T / dt)), dt))
-        return dt * float(np.einsum("ki,ki->", panels, panels))
-
-
-class _ZeroSignal(_Signal):
-    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
-        return np.zeros((len(t), self.dim))
-
-
-class _PulseSignal(_Signal):
-    def __init__(self, amplitude: np.ndarray, t0: float, t1: float, dt: float):
-        super().__init__(len(amplitude))
-        self.amplitude = amplitude
-        self.t0 = t0
-        self.t1 = t1
-        self._tol = 0.25 * dt
-
-    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
-        if closed:
-            on = ((self.t0 - self._tol) <= t) & (t <= (self.t1 + self._tol))
-        else:
-            on = (self.t0 < t) & (t < self.t1)
-        return np.where(on[:, None], self.amplitude, 0.0)
-
-
-class _HeldSignal(_Signal):
-    def __init__(self, values: np.ndarray, hold: float):
-        super().__init__(values.shape[1])
-        self.frames = values  # (frames, dim)
-        self.hold = hold
-
-    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
-        idx = np.floor(t / self.hold + 1e-12).astype(np.intp)
-        return self.frames[np.clip(idx, 0, len(self.frames) - 1)]
-
-
-class _SumSignal(_Signal):
-    def __init__(self, parts: list[_Signal], dim: int):
-        super().__init__(dim)
-        self.parts = parts
-
-    def values(self, t: np.ndarray, closed: bool = False) -> np.ndarray:
-        out = np.zeros((len(t), self.dim))
-        for p in self.parts:
-            out = out + p.values(t, closed)
+    def panels(self, k0: int, k1: int) -> np.ndarray:
+        """(k1 - k0, dim) values held on the steps k0..k1-1: what the
+        integrator uses at every stage of those steps."""
+        out = np.zeros((k1 - k0, self.dim))
+        for a, b, h, frames in self.parts:
+            lo, hi = max(a, k0), min(b, k1)
+            if lo < hi:
+                out[lo - k0:hi - k0] += frames[(np.arange(lo, hi) - a) // h]
         return out
+
+    def samples(self, steps: int) -> np.ndarray:
+        """(steps + 1, dim) values at the grid points 0..steps."""
+        out = np.zeros((steps + 1, self.dim))
+        for a, b, h, frames in self.parts:
+            lo, hi = max(a, 0), min(b, steps)
+            if lo <= hi:
+                idx = np.minimum((np.arange(lo, hi + 1) - a) // h, len(frames) - 1)
+                out[lo:hi + 1] += frames[idx]
+        return out
+
+    def energy(self, steps: int, dt: float) -> float:
+        """Exact squared L2 norm on [0, steps * dt]: dt times the sum of the
+        squared panel values."""
+        panels = self.panels(0, steps)
+        return dt * float(np.einsum("ki,ki->", panels, panels))
 
 
 @dataclass
@@ -345,12 +322,12 @@ class RealizedDisturbances:
     v: dict[int, _Signal]
     eps: dict[tuple[int, int], _Signal]
 
-    def evaluate(self, t: np.ndarray, closed: bool = False):
-        """Every channel at the times t: (w, {i: v_i}, {(i, j): eps_ij}),
-        each an array of shape (len(t), dim)."""
-        w = self.w.values(t, closed)
-        v = {i: sig.values(t, closed) for i, sig in self.v.items()}
-        eps = {e: sig.values(t, closed) for e, sig in self.eps.items()}
+    def samples(self, steps: int):
+        """Every channel at the grid points 0..steps: (w, {i: v_i},
+        {(i, j): eps_ij}), each an array of shape (steps + 1, dim)."""
+        w = self.w.samples(steps)
+        v = {i: sig.samples(steps) for i, sig in self.v.items()}
+        eps = {e: sig.samples(steps) for e, sig in self.eps.items()}
         return w, v, eps
 
 
@@ -366,33 +343,35 @@ def _spec_rng(spec: DisturbanceSpec, scenario_seed: int, occurrence: int):
     if spec.seed is not None:
         return np.random.default_rng(spec.seed)
     tcode = {"w": 0, "v": 1, "eps": 2}[spec.target]
-    a = spec.node or (spec.edge[0] if spec.edge else 0)
-    b = spec.edge[1] if spec.edge else 0
+    a, b = spec.edge or (spec.node or 0, 0)
     seq = np.random.SeedSequence(scenario_seed, spawn_key=(1, tcode, a, b, occurrence))
     return np.random.default_rng(seq)
 
 
-def _build_signal(
-    spec: DisturbanceSpec, dim: int, scenario: Scenario, occurrence: int
-) -> _Signal:
+def _part(spec: DisturbanceSpec, dim: int, scenario: Scenario, occurrence: int):
+    """The (a, b, h, frames) part of one spec on the scenario's step grid,
+    None for a zero spec. A pulse is one frame held over all its steps; a
+    held-gaussian draws one frame per hold window of the horizon."""
+    dt, steps = scenario.dt, scenario.steps
     if spec.kind == "zero":
-        return _ZeroSignal(dim)
+        return None
     if spec.kind == "pulse":
-        amp = np.asarray(spec.amplitude, dtype=float)
-        if amp.ndim == 0:
-            amp = np.full(dim, float(amp))
-        t0 = _snap_to_grid(spec.start, scenario.dt, "pulse start")
-        t1 = _snap_to_grid(spec.start + spec.duration, scenario.dt, "pulse end")
-        return _PulseSignal(amp, t0, t1, scenario.dt)
-    hold = _snap_to_grid(spec.hold, scenario.dt, "hold interval")
-    frames = int(np.ceil(scenario.T / hold))
+        amp = np.broadcast_to(np.asarray(spec.amplitude, dtype=float), (dim,))
+        a = _snap_to_grid(spec.start, dt, "pulse start")
+        b = _snap_to_grid(spec.start + spec.duration, dt, "pulse end")
+        return a, b, max(b - a, 1), amp[None]
+    h = _snap_to_grid(spec.hold, dt, "hold interval")
     rng = _spec_rng(spec, scenario.seed, occurrence)
-    values = spec.mean + spec.std * rng.standard_normal((frames, dim))
-    return _HeldSignal(values, hold)
+    frames = spec.mean + spec.std * rng.standard_normal((-(-steps // h), dim))
+    return 0, steps, h, frames
 
 
 def realize_disturbances(scenario: Scenario) -> RealizedDisturbances:
-    """Draw x0 and compile every disturbance channel into a signal."""
+    """Draw x0 and compile every disturbance channel into a signal.
+
+    Specs compile in document order, so snapping warnings keep that order,
+    and a held spec's stream key counts every earlier spec of its channel.
+    """
     net = scenario.network
     rng_x0 = (
         np.random.default_rng(scenario.x0_law.seed)
@@ -401,25 +380,17 @@ def realize_disturbances(scenario: Scenario) -> RealizedDisturbances:
     )
     x0 = scenario.x0_law.draw(net.n, rng_x0)
 
-    dims = _channel_dims(net)
-    per_channel: dict[tuple, list[_Signal]] = {key: [] for key in dims}
+    signals = {key: _Signal(dim) for key, dim in _channel_dims(net).items()}
+    occurrences = dict.fromkeys(signals, 0)
     for spec in scenario.disturbances:
         key = spec.channel_key()
-        parts = per_channel[key]
-        parts.append(_build_signal(spec, dims[key], scenario, len(parts)))
-
-    def channel(key: tuple) -> _Signal:
-        parts = per_channel[key]
-        if not parts:
-            return _ZeroSignal(dims[key])
-        if len(parts) == 1:
-            return parts[0]
-        return _SumSignal(parts, dims[key])
-
-    w = channel(("w",))
-    v = {i: channel(("v", i)) for i in net.node_ids()}
-    eps = {(i, j): channel(("eps", i, j)) for (i, j) in net.edges}
-    return RealizedDisturbances(x0=x0, w=w, v=v, eps=eps)
+        part = _part(spec, signals[key].dim, scenario, occurrences[key])
+        occurrences[key] += 1
+        if part is not None:
+            signals[key].parts.append(part)
+    v = {i: signals[("v", i)] for i in net.node_ids()}
+    eps = {(i, j): signals[("eps", i, j)] for (i, j) in net.edges}
+    return RealizedDisturbances(x0=x0, w=signals[("w",)], v=v, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +413,7 @@ class Trajectories:
 
     @cached_property
     def _samples(self):
-        return self.realization.evaluate(self.t, closed=True)
+        return self.realization.samples(len(self.t) - 1)
 
     @property
     def w_samples(self) -> np.ndarray:
@@ -667,10 +638,9 @@ def simulate_runs(scenarios) -> list[Trajectories]:
     while k0 < steps and live:
         if k0 == d_end:
             d_start, d_end = k0, min(k0 + d_steps, steps)
-            mids = _midpoints(d_start, d_end, dt)
             d = np.empty((d_end - d_start, live, m, 1))
             for d_s, sc, real in zip(np.moveaxis(d, 1, 0), scenarios, reals):
-                d_s[:, :, 0] = disturbance_term(sc.network, real, mids)
+                d_s[:, :, 0] = disturbance_term(sc.network, real, d_start, d_end)
         # Pass 1: gains of the chunk, their grid guard and stage inverses.
         # A failure is kept as (step offset, order within the step, error,
         # variant); within a step, stage factorizations come first, then
@@ -770,7 +740,9 @@ def simulate_error_oracle(
     es = np.empty((net.N, steps + 1, net.n))
     es[:, 0] = e
     A, B = net.plant.A, net.plant.B
-    w_panels, v_panels, eps_panels = realization.evaluate(_midpoints(0, steps, dt))
+    w_panels = realization.w.panels(0, steps)
+    v_panels = {i: sig.panels(0, steps) for i, sig in realization.v.items()}
+    eps_panels = {e: sig.panels(0, steps) for e, sig in realization.eps.items()}
 
     for k in range(steps):
         t = k * dt
@@ -830,7 +802,7 @@ def make_isolated_variant(scenario: Scenario, node_id: int) -> Scenario:
     specs = tuple(
         s
         for s in scenario.disturbances
-        if not (s.target == "eps" and s.edge is not None and s.edge[0] == node_id)
+        if not (s.target == "eps" and s.edge[0] == node_id)
     )
     return replace(
         scenario,

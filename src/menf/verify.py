@@ -89,19 +89,19 @@ def rhs_budget(scenario: Scenario, traj: Trajectories) -> BudgetBreakdown:
         raise PreconditionViolated("the budget needs the run's realized disturbances")
     net = scenario.network
     dt = traj.dt
-    T = float(traj.t[-1])
+    steps = len(traj.t) - 1
     x0 = traj.x[0]
     init = 0.0
     for node, K0 in zip(net.nodes, scenario.gain_initial_blocks()):
         d = x0 - node.xi
         init += float(d @ K0 @ d)
-    model = net.N * real.w.energy_on(T, dt)
+    model = net.N * real.w.energy(steps, dt)
     measurement = 0.0
     for i in net.node_ids():
-        measurement += real.v[i].energy_on(T, dt)
+        measurement += real.v[i].energy(steps, dt)
     communication = 0.0
     for e in net.edges:
-        communication += real.eps[e].energy_on(T, dt)
+        communication += real.eps[e].energy(steps, dt)
     return BudgetBreakdown(
         init=init, model=model, measurement=measurement, communication=communication
     )
@@ -110,14 +110,15 @@ def rhs_budget(scenario: Scenario, traj: Trajectories) -> BudgetBreakdown:
 def check_hinf(scenario: Scenario, traj: Trajectories, P: np.ndarray) -> HinfReport:
     """Evaluate the attenuation inequality on one run.
 
-    Emits a HypothesisNotVerified warning when the run metadata does not
-    record a positive stacked-condition margin and positive definite gains;
-    the inequality is only guaranteed under those hypotheses.
+    Emits a HypothesisNotVerified warning unless the run metadata records
+    a finite positive stacked-condition margin and positive definite gains
+    (gains_positive_definite True); the inequality is only guaranteed under
+    those hypotheses.
     """
     hypotheses = dict(traj.hypotheses or {})
     margin = hypotheses.get("minv_margin")
-    gains_ok = hypotheses.get("gains_positive_definite")
-    if margin is None or not gains_ok:
+    margin_ok = isinstance(margin, (int, float)) and 0 < margin < np.inf
+    if not (margin_ok and hypotheses.get("gains_positive_definite") is True):
         warnings.warn(
             "attenuation bound evaluated without verified convergence "
             "hypotheses (stacked-condition margin / gain positivity)",

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import shutil
 
 import numpy as np
 import pytest
@@ -462,6 +463,24 @@ TUNE_P0 = "{P0: [[1.0]], ridge: 0.01}"
             ["manifest.yaml", lambda text: text.replace("gains_positive_definite", "gains_pd")],
             "manifest.yaml: hypotheses", id="manifest-unknown-hypothesis",
         ),
+        *[
+            pytest.param(
+                None, None, ["manifest.yaml", lambda text, a=a, b=b: text.replace(a, b, 1)],
+                f"manifest.yaml: {key}", id=f"manifest-{name}",
+            )
+            for a, b, key, name in [
+                ("hypotheses: {", "hypotheses: {minv_margin: abc, ",
+                 "hypotheses.minv_margin", "margin-text"),
+                ("hypotheses: {", "hypotheses: {minv_margin: .nan, ",
+                 "hypotheses.minv_margin", "margin-nan"),
+                ("min_gain_eigenvalue: 1.0", "min_gain_eigenvalue: [1, 2]",
+                 "hypotheses.min_gain_eigenvalue", "min-eigenvalue-list"),
+                ("gains_positive_definite: true", "gains_positive_definite: 'no'",
+                 "hypotheses.gains_positive_definite", "gains-flag-text"),
+                ("\nseed: 0\n", "\nseed: 1\n", "seed", "seed-wrong"),
+                ("scenario_sha256: ", "scenario_sha256: 0", "scenario_sha256", "hash-wrong"),
+            ]
+        ],
         # Rules on what the values mean, checked where the model objects
         # are built: simulate and tune both build the whole scenario.
         *[
@@ -477,6 +496,8 @@ TUNE_P0 = "{P0: [[1.0]], ridge: 0.01}"
                 ("amplitude: 1.0", "amplitude: [1.0, 2.0]", "disturbances[0]", "amplitude-length"),
                 ("tuning:", "gains: {K0: [[[-1.0]]]}\ntuning:", "gains.K0", "K0-negative"),
                 ("tuning:", "gains: {K0: [[[0.0]]]}\ntuning:", "gains.K0", "K0-singular"),
+                ("target: w,", "target: w, node: 1,", "disturbances[0]", "w-with-node"),
+                ("node: 1,", "node: 1, edge: [1, 1],", "disturbances[1]", "v-with-edge"),
             ]
             for args in ([], ["tune"])
         ],
@@ -556,6 +577,17 @@ _EDITS = {
     "negative": lambda v: -(abs(v) + 1),
     "wrong-length list": lambda v: [v, v],
 }
+
+
+def _edit_leaf(doc, path, edit):
+    """doc, with the number at its key path replaced by the edit of it."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _EDITS[edit](parent[path[-1]])
+    return doc
+
+
 _LEAF_EDITS = [
     (path, edit)
     for path in _numeric_leaves(yaml.safe_load(ONE_NODE))
@@ -571,16 +603,57 @@ def test_single_leaf_edit_exits_1_naming_its_section(tmp_path_factory, case):
     exit 1, the edited key's top-level section in the message, and no
     traceback."""
     path, edit = case
-    doc = yaml.safe_load(ONE_NODE)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = _EDITS[edit](parent[path[-1]])
     tmp = tmp_path_factory.mktemp("fuzz")
-    scen = write_small(tmp, yaml.safe_dump(doc))
+    scen = write_small(tmp, yaml.safe_dump(_edit_leaf(yaml.safe_load(ONE_NODE), path, edit)))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["simulate", str(scen), "--out", str(tmp / "run")])
     assert code == 1, (path, edit)
     assert path[0] in err.getvalue(), (path, edit, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def one_node_run(tmp_path_factory):
+    """ONE_NODE simulated with a tuned file, so that its manifest records
+    every hypothesis."""
+    tmp = tmp_path_factory.mktemp("one_node")
+    tuned = tmp / "tuned.yaml"
+    tuned.write_text("tuned: {M_inv: [[[0.01]]], minv_margin: 0.5}\n", encoding="utf-8")
+    out = tmp / "run"
+    argv = ["simulate", str(write_small(tmp, ONE_NODE)), "--out", str(out), "--tuned", str(tuned)]
+    assert main(argv) == 0
+    return out
+
+
+# The numbers of a manifest's seed, m_inv and hypotheses; only the margin
+# and the minimum gain eigenvalue may be negative.
+_MANIFEST_EDITS = [
+    (path, edit)
+    for path in (
+        ("seed",), ("m_inv", 0, 0, 0),
+        ("hypotheses", "minv_margin"), ("hypotheses", "min_gain_eigenvalue"),
+    )
+    for edit in _EDITS
+    if edit != "negative" or path[0] != "hypotheses"
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(_MANIFEST_EDITS))
+def test_single_leaf_manifest_edit_exits_1_naming_its_key(one_node_run, tmp_path_factory, case):
+    """The exit-1 contract over single-number edits of a run's manifest:
+    verify exits 1 naming manifest.yaml and the edited key's section."""
+    path, edit = case
+    run = tmp_path_factory.mktemp("fuzz") / "run"
+    shutil.copytree(one_node_run, run)
+    manifest = yaml.safe_load((run / "manifest.yaml").read_text(encoding="utf-8"))
+    (run / "manifest.yaml").write_text(
+        yaml.safe_dump(_edit_leaf(manifest, path, edit)), encoding="utf-8"
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", str(run)])
+    assert code == 1, (path, edit)
+    assert f"manifest.yaml: {path[0]}" in err.getvalue(), (path, edit, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -48,7 +48,7 @@ def engine_field(net, x, xhat, K, w=None, v=None, eps=None):
         network=net, T=dt, dt=dt, seed=0,
         x0_law=X0Law(kind="fixed", value=x), disturbances=tuple(specs),
     )
-    d = disturbance_term(net, realize_disturbances(scenario), np.array([0.5 * dt]))[0]
+    d = disturbance_term(net, realize_disturbances(scenario), 0, 1)[0]
     n = net.n
     z = np.concatenate([x] + [xhat[i] for i in net.node_ids()])
     K_inv = _inverses(np.stack([K[i] for i in net.node_ids()]))

@@ -97,8 +97,7 @@ def test_chua_scenario_contract(chua_tuning):
     r1 = realize_disturbances(scenario)
     r2 = realize_disturbances(chua_scenario(1, chua_tuning))
     assert np.array_equal(r1.x0, r2.x0)
-    t = np.linspace(0, 10, 23)
-    assert np.array_equal(r1.w.values(t, closed=True), r2.w.values(t, closed=True))
+    assert np.array_equal(r1.w.samples(scenario.steps), r2.w.samples(scenario.steps))
 
 
 def test_distinct_seeds_differ(chua_tuning):
@@ -150,7 +149,7 @@ def test_l2_accounting_pulse_exact():
     )
     scenario = small_scenario(net, disturbances=(spec,))
     real = realize_disturbances(scenario)
-    energy = real.w.energy_on(scenario.T, scenario.dt)
+    energy = real.w.energy(scenario.steps, scenario.dt)
     assert energy == pytest.approx(4.0 * 0.5, rel=1e-12)
 
 
@@ -162,10 +161,80 @@ def test_held_gaussian_is_square_integrable_and_held():
     scenario = small_scenario(net, disturbances=(spec,))
     real = realize_disturbances(scenario)
     # constant within a hold window
-    a, b, c = real.w.values(np.array([0.01, 0.09, 0.11]))
+    a, b, c = real.w.panels(0, scenario.steps)[[10, 89, 110]]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert np.isfinite(real.w.energy_on(scenario.T, scenario.dt))
+    assert np.isfinite(real.w.energy(scenario.steps, scenario.dt))
+
+
+@pytest.mark.parametrize(
+    "T, hold", [(0.07, 0.01), (40.0, 1e-3)], ids=["extra-frame", "frame-index-roundoff"]
+)
+def test_held_grid_samples_carry_the_step_after_them(T, hold):
+    # A held-only channel's sample at grid point k is the value held on
+    # step k, and at T that of the last step. T = 0.07 is a whole number of
+    # windows that T / hold in floats overshoots, and over 40 000 steps
+    # t / hold in floats falls short of whole frames.
+    net = make_single_node_network()
+    spec = DisturbanceSpec(kind="held_gaussian", target="w", hold=hold)
+    scenario = small_scenario(net, T=T, disturbances=(spec,))
+    signal = realize_disturbances(scenario).w
+    samples, panels = signal.samples(scenario.steps), signal.panels(0, scenario.steps)
+    assert np.array_equal(samples[:-1], panels)
+    assert np.array_equal(samples[-1], panels[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.integers(1, 200),
+    hold=st.integers(1, 11),
+    starts=st.lists(st.floats(-0.05, 0.2), min_size=2, max_size=2),
+    durations=st.lists(st.floats(0.0, 0.1), min_size=2, max_size=2),
+    cuts=st.lists(st.integers(0, 200), max_size=4),
+)
+def test_summed_channel_panels_split_into_blocks(steps, hold, starts, durations, cuts):
+    # pulse, zero, held and pulse specs summed on one channel, the pulse
+    # edges off the grid: any split of the steps into blocks reads the same
+    # panels, the pulses sit on the steps between their snapped edges, and
+    # the energy is dt times the sum of the squared panels
+    dt = 1e-3
+    net = make_single_node_network()
+    held = DisturbanceSpec(kind="held_gaussian", target="w", std=0.5, hold=hold * dt, seed=5)
+    pulses = [
+        DisturbanceSpec(kind="pulse", target="w", amplitude=amp, start=start, duration=duration)
+        for amp, start, duration in zip((0.7, -1.3), starts, durations)
+    ]
+    specs = (pulses[0], DisturbanceSpec(kind="zero", target="w"), held, pulses[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        signal = realize_disturbances(small_scenario(net, T=steps * dt, disturbances=specs)).w
+    panels = signal.panels(0, steps)
+    bounds = [0, *sorted(min(c, steps) for c in cuts), steps]
+    blocks = [signal.panels(a, b) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(blocks), panels)
+
+    k = np.arange(steps)[:, None]
+    ref = np.zeros((steps, 1))
+    for spec in specs:
+        if spec.kind == "pulse":
+            a, b = round(spec.start / dt), round((spec.start + spec.duration) / dt)
+            ref = ref + np.where((a <= k) & (k < b), spec.amplitude, 0.0)
+        elif spec.kind == "held_gaussian":
+            alone = small_scenario(net, T=steps * dt, disturbances=(spec,))
+            ref = ref + realize_disturbances(alone).w.panels(0, steps)
+    assert np.array_equal(panels, ref)
+    assert signal.energy(steps, dt) == pytest.approx(dt * float(np.sum(panels**2)), rel=1e-12)
+
+
+def test_a_node_or_edge_on_a_target_that_takes_none_is_rejected():
+    # it would key the channel's noise stream: two eps channels carrying
+    # node 1 drew identical frames
+    with pytest.raises(DimensionMismatch, match="'v'"):
+        DisturbanceSpec(kind="held_gaussian", target="eps", edge=(1, 3), node=1)
+    with pytest.raises(DimensionMismatch, match="'eps'"):
+        DisturbanceSpec(kind="held_gaussian", target="v", node=1, edge=(1, 3))
+    with pytest.raises(DimensionMismatch, match="'v'"):
+        DisturbanceSpec(kind="pulse", target="w", node=1)
 
 
 def test_error_oracle_trivial_zero():
@@ -247,11 +316,9 @@ def test_isolated_variant_structure(chua_tuning):
     r_full = realize_disturbances(scenario)
     r_iso = realize_disturbances(iso)
     assert np.array_equal(r_full.x0, r_iso.x0)
-    t = np.linspace(0, 10, 11)
-    assert np.array_equal(r_full.w.values(t, closed=True), r_iso.w.values(t, closed=True))
-    assert np.array_equal(
-        r_full.eps[(3, 2)].values(t, closed=True), r_iso.eps[(3, 2)].values(t, closed=True)
-    )
+    steps = scenario.steps
+    assert np.array_equal(r_full.w.samples(steps), r_iso.w.samples(steps))
+    assert np.array_equal(r_full.eps[(3, 2)].samples(steps), r_iso.eps[(3, 2)].samples(steps))
 
 
 # ---------------------------------------------------------------------------

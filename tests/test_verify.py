@@ -124,7 +124,9 @@ def test_rhs_budget_breakdown_nonneg_and_additive(chua_run):
     assert breakdown.total == pytest.approx(sum(terms), rel=0, abs=0)
 
 
-def test_check_hinf_zero_case_and_warning():
+@pytest.mark.parametrize("margin", [None, 0.0, -1.0, float("nan")])
+def test_check_hinf_zero_case_and_warning(margin):
+    # the bound is guaranteed only under a positive stacked-condition margin
     net = make_single_node_network()
     scenario = Scenario(
         network=net,
@@ -133,6 +135,7 @@ def test_check_hinf_zero_case_and_warning():
         seed=0,
         x0_law=X0Law(kind="fixed", value=np.zeros(1)),
         m_inv_blocks=(np.zeros((1, 1)),),
+        minv_margin=margin,
     )
     traj = simulate(scenario)
     with pytest.warns(HypothesisNotVerified):
