@@ -235,8 +235,9 @@ def _tables(net, traj: Trajectories):
 
 def _export_run(
     outdir: Path, doc: dict, scenario, traj: Trajectories, cache: _ExportCache
-) -> None:
-    """Write one run's CSV tables (_tables) and manifest.yaml into outdir.
+) -> str:
+    """Write one run's CSV tables (_tables) and manifest.yaml into outdir;
+    returns the scenario hash the manifest records.
 
     Every table starts with the t column, whose text comes from the cache.
     When an earlier run of the cache wrote the same gain array, its
@@ -250,9 +251,10 @@ def _export_run(
         else:
             _write_csv(outdir / name, header, t_text, table)
     cache.K, cache.K_dir = traj.K, outdir
+    digest = document_hash(doc)
     manifest = {
         "scenario": doc,
-        "scenario_sha256": document_hash(doc),
+        "scenario_sha256": digest,
         "seed": scenario.seed,
         "version": __version__,
         "m_inv": [np.asarray(b).tolist() for b in scenario.m_inv_blocks],
@@ -263,6 +265,7 @@ def _export_run(
         },
     }
     (outdir / "manifest.yaml").write_text(dump_document(manifest), encoding="utf-8")
+    return digest
 
 
 def _cmd_simulate(args) -> int:
@@ -277,10 +280,10 @@ def _cmd_simulate(args) -> int:
     else:
         scenario = document_to_scenario(doc)
     traj = simulate(scenario)
-    _export_run(Path(args.out), doc, scenario, traj, _ExportCache())
+    digest = _export_run(Path(args.out), doc, scenario, traj, _ExportCache())
     final_e = float(np.max(np.abs(traj.e[:, -1, :])))
     print(f"run complete: {len(traj.t) - 1} steps, final max |e| = {final_e:.6g}")
-    print(f"outputs in {args.out} (scenario sha256 {document_hash(doc)[:16]}...)")
+    print(f"outputs in {args.out} (scenario sha256 {digest[:16]}...)")
     return EXIT_OK
 
 

@@ -51,11 +51,24 @@ def min_eigenvalue(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(x))[0])
 
 
+def frobenius_norms(x: np.ndarray) -> np.ndarray:
+    """||x||_F per matrix of a stack (..., n, n), each equal bit for bit to
+    np.linalg.norm of that matrix alone (when it is C-ordered or symmetric).
+
+    np.linalg.norm of a matrix is sqrt of the BLAS dot of its entries, and a
+    row-by-column matmul is that same dot; np.linalg.norm over axes (-2, -1)
+    sums in another order and differs in the last bits.
+    """
+    flat = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
+    return np.sqrt(np.matmul(flat, flat.swapaxes(-1, -2)))[..., 0, 0]
+
+
 def definiteness_threshold(x: np.ndarray):
-    """DEF_TOL * (1 + ||x||_F) for a matrix, or per matrix of a stack (..., n, n)."""
-    if x.ndim == 2:  # the plain norm is cheaper; the tuner calls this thousands of times
+    """DEF_TOL * (1 + ||x||_F) for a matrix, or per matrix of a stack (..., n, n),
+    the same bits either way."""
+    if x.ndim == 2:  # the plain norm is cheaper for one matrix
         return DEF_TOL * (1.0 + float(np.linalg.norm(x)))
-    return DEF_TOL * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
+    return DEF_TOL * (1.0 + frobenius_norms(x))
 
 
 def require_spd(x: np.ndarray, name: str) -> np.ndarray:

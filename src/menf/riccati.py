@@ -19,18 +19,21 @@ S = C^T R^-1 C + [Delta]_ii - M^-1 (possibly indefinite) is solved for its
 stabilizing solution Z+ from the stable invariant subspace of the
 Hamiltonian  H = [[A^T, -S], [-B B^T, -A]]  via an ordered real Schur
 decomposition. The binding contract is the residual check, not the route.
-solve_are_stabilizing is the PBH test of (A, B) (check_stabilizable)
-followed by stable_are_solution, the Hamiltonian part; callers that solve
-many AREs of one plant, such as the tuner's per-node problem, run the PBH
-test once and call stable_are_solution directly.
+stable_are_solutions is that Hamiltonian part for a stack of S sharing A
+and Q, every step batched but the sorted Schur form; stable_are_solution is
+its batch of one. solve_are_stabilizing is the PBH test of (A, B)
+(check_stabilizable) followed by stable_are_solution; callers that solve
+many AREs of one plant, such as the tuner's node certificates, run the PBH
+test once and call stable_are_solutions directly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
@@ -43,6 +46,7 @@ from .errors import (
 from .linalg import (
     block_diag,
     definiteness_threshold,
+    frobenius_norms,
     require_spd,
     require_symmetric,
     symmetrize,
@@ -288,61 +292,123 @@ def check_stabilizable(A: np.ndarray, B: np.ndarray) -> None:
             raise NotStabilizable(complex(lam), float(sv[-1]))
 
 
-def stable_are_solution(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> AreSolution:
-    """Stabilizing solution Z+ of  Z A^T + A Z - Z S Z + Q = 0, the Hamiltonian part.
+def _stable_first(re: float, im: float) -> bool:
+    return re < 0.0
 
-    A, Q and S are float matrices of one size, S and Q exactly symmetric.
-    Nothing is validated and no PBH test is run: the caller owns that, once
-    per plant (solve_are_stabilizing, tuning's node problem). Z+ is
-    recovered as V U^-1 from the stable invariant subspace [U; V] of the
-    Hamiltonian H = [[A^T, -S], [-Q, -A]]; NoStabilizingSolution is raised
-    when H touches the imaginary axis, the subspace is degenerate, Z+ is not
-    positive definite, its residual is too large, or the closed loop is not
-    Hurwitz.
+
+@functools.cache
+def _gees(order: int):
+    """LAPACK's real gees and its optimal workspace at this order: the
+    workspace query scipy.linalg.schur makes on every call, which reads
+    only the order."""
+    a = np.zeros((order, order))
+    gees, = get_lapack_funcs(("gees",), (a,))
+    return gees, int(gees(lambda x: None, a, lwork=-1)[-2][0].real)
+
+
+def _stable_schur(H: np.ndarray):
+    """The orthogonal factor of each matrix's real Schur form with the open
+    left half-plane first, and that block's dimension: per matrix of the
+    float stack H (k, m, m), scipy.linalg.schur(H[j], output="real",
+    sort=lambda re, im: re < 0.0) without its per-call set-up, raising the
+    same errors."""
+    k, m = H.shape[:2]
+    gees, lwork = _gees(m)
+    U, dims = np.empty_like(H), np.empty(k, dtype=int)
+    for j in range(k):
+        _, dims[j], _, _, U[j], _, info = gees(_stable_first, H[j], lwork=lwork, sort_t=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+        if info == m + 1:
+            raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+        if info == m + 2:
+            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+        if info > 0:
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return U, dims
+
+
+def _drop(out: list, failed: np.ndarray, reason, alive: np.ndarray, *arrays):
+    """Record NoStabilizingSolution(reason(p)) as the outcome of member
+    alive[p] wherever failed[p]; returns alive and each of the arrays, which
+    are aligned with it, without those positions."""
+    if not np.count_nonzero(failed):
+        return (alive,) + arrays
+    for p in np.flatnonzero(failed):
+        out[alive[p]] = NoStabilizingSolution(reason(p))
+    keep = ~failed
+    return (alive[keep],) + tuple(a[keep] for a in arrays)
+
+
+def stable_are_solutions(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> list:
+    """Stabilizing solutions Z+ of  Z A^T + A Z - Z S Z + Q = 0, one per
+    matrix of the stack S (k, n, n), with A and Q shared: the Hamiltonian
+    part.
+
+    A, Q and S are float, S and Q exactly symmetric. Nothing is validated
+    and no PBH test is run: the caller owns that, once per plant
+    (solve_are_stabilizing, tuning's node certificates). Entry j of the
+    returned list is the AreSolution of S[j], or the NoStabilizingSolution,
+    not raised, that rules it out. Z+ is recovered as V U^-1 from the stable
+    invariant subspace [U; V] of the Hamiltonian H = [[A^T, -S], [-Q, -A]];
+    a member fails when H touches the imaginary axis, the subspace is
+    degenerate, Z+ is not positive definite, its residual is too large, or
+    the closed loop is not Hurwitz, tested in that order. Each step runs on
+    the stack of the members still standing, except the sorted Schur form,
+    which LAPACK computes one matrix at a time; a member's outcome is bit for
+    bit the one it gets in a stack of its own.
     """
-    n = A.shape[0]
-    H = np.empty((2 * n, 2 * n))
-    H[:n, :n] = A.T
-    H[:n, n:] = -S
-    H[n:, :n] = -Q
-    H[n:, n:] = -A
+    k, n = S.shape[0], A.shape[0]
+    H = np.empty((k, 2 * n, 2 * n))
+    H[:, :n, :n] = A.T
+    H[:, :n, n:] = -S
+    H[:, n:, :n] = -Q
+    H[:, n:, n:] = -A
+    out = [None] * k
     # Decided before the Schur form, not read off it: on a spectrum this
     # close to the axis the sorted decomposition can itself fail
     # (LinAlgError: eigenvalues do not satisfy the sort condition).
-    ev = np.linalg.eigvals(H)
-    axis_tol = IMAG_AXIS_TOL * float(np.linalg.norm(H))
-    if np.min(np.abs(ev.real)) < axis_tol:
-        raise NoStabilizingSolution("Hamiltonian eigenvalue on the imaginary axis")
+    ev_re = np.linalg.eigvals(H).real
+    on_axis = np.abs(ev_re).min(axis=-1) < IMAG_AXIS_TOL * frobenius_norms(H)
+    alive, H, S = _drop(out, on_axis, lambda p: "Hamiltonian eigenvalue on the imaginary axis",
+                        np.arange(k), H, S)
 
-    _, Uo, sdim = schur(H, output="real", sort=lambda re, im: re < 0.0)
-    if sdim != n:
-        raise NoStabilizingSolution(
-            f"stable invariant subspace has dimension {sdim}, expected {n}"
-        )
-    U1 = Uo[:n, :n]
-    V1 = Uo[n:, :n]
+    U, dims = _stable_schur(H)
+    alive, U, S = _drop(out, dims != n, lambda p: (
+        f"stable invariant subspace has dimension {dims[p]}, expected {n}"), alive, U, S)
+    U1, V1 = U[:, :n, :n], U[:, n:, :n]
     sv = np.linalg.svd(U1, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise NoStabilizingSolution("subspace basis U is numerically singular")
-    Zplus = symmetrize(np.linalg.solve(U1.T, V1.T).T)
+    alive, U1, V1, S = _drop(out, sv[:, -1] < 1e-12 * sv[:, 0],
+                             lambda p: "subspace basis U is numerically singular",
+                             alive, U1, V1, S)
+    Zplus = symmetrize(np.linalg.solve(U1.swapaxes(-1, -2), V1.swapaxes(-1, -2)).swapaxes(-1, -2))
 
-    min_eig = float(np.linalg.eigvalsh(Zplus)[0])
-    if min_eig <= definiteness_threshold(Zplus):
-        raise NoStabilizingSolution(f"Z+ not positive definite (min eig {min_eig:.3g})")
+    min_eig = np.linalg.eigvalsh(Zplus)[:, 0]
+    alive, Zplus, S = _drop(out, min_eig <= definiteness_threshold(Zplus), lambda p: (
+        f"Z+ not positive definite (min eig {min_eig[p]:.3g})"), alive, Zplus, S)
 
-    residual = float(np.linalg.norm(Zplus @ A.T + A @ Zplus - Zplus @ S @ Zplus + Q))
-    tol = ARE_TOL_SCALE * (1.0 + float(np.linalg.norm(Zplus)) ** 2)
-    if residual > tol:
-        raise NoStabilizingSolution(f"residual {residual:.3g} exceeds {tol:.3g}")
+    residual = frobenius_norms(Zplus @ A.T + A @ Zplus - Zplus @ S @ Zplus + Q)
+    # float ** 2 is libm's pow: numpy's ** 2, a rounded product, differs in
+    # the last bit on about one value in a thousand
+    tol = np.array([ARE_TOL_SCALE * (1.0 + float(z) ** 2) for z in frobenius_norms(Zplus)])
+    alive, Zplus, S, residual = _drop(out, residual > tol, lambda p: (
+        f"residual {residual[p]:.3g} exceeds {tol[p]:.3g}"), alive, Zplus, S, residual)
 
-    abscissa = float(np.max(np.linalg.eigvals((A - Zplus @ S).T).real))
-    if abscissa >= 0.0:
-        raise NoStabilizingSolution(f"closed loop not Hurwitz (abscissa {abscissa:.3g})")
-    return AreSolution(
-        Zplus=Zplus,
-        residual=residual,
-        closed_loop_spectral_abscissa=abscissa,
-    )
+    abscissa = np.linalg.eigvals((A - Zplus @ S).swapaxes(-1, -2)).real.max(axis=-1)
+    alive, Zplus, residual, abscissa = _drop(out, abscissa >= 0.0, lambda p: (
+        f"closed loop not Hurwitz (abscissa {abscissa[p]:.3g})"), alive, Zplus, residual, abscissa)
+    for j, Z, r, a in zip(alive, Zplus, residual, abscissa):
+        out[j] = AreSolution(Zplus=Z, residual=float(r), closed_loop_spectral_abscissa=float(a))
+    return out
+
+
+def stable_are_solution(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> AreSolution:
+    """Stabilizing solution Z+ of  Z A^T + A Z - Z S Z + Q = 0: the batch of
+    one of stable_are_solutions, raising its NoStabilizingSolution."""
+    sol = stable_are_solutions(A, Q, S[None])[0]
+    if isinstance(sol, NoStabilizingSolution):
+        raise sol
+    return sol
 
 
 def solve_are_stabilizing(

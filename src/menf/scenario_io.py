@@ -139,11 +139,15 @@ _DIST_NUMBERS = (
 )
 
 
+# libyaml's parser when PyYAML was built with it, the same documents faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _safe_load(text: str, source: str):
-    """yaml.safe_load; a YAML error becomes a ScenarioFormatError at
-    source:line:column."""
+    """yaml.safe_load, through libyaml when present; a YAML error becomes a
+    ScenarioFormatError at source:line:column."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"{source}:{mark.line + 1}:{mark.column + 1}" if mark else source

@@ -24,11 +24,15 @@ to B B^T + theta I, which shifts the block to -theta X_i^2 < 0.
 Cost: a tune_scalar or verify_tuning call assembles the stacked matrices
 once and builds each node's inequality once, as a _NodeProblem that every
 decay-floor rung and the final certification share. It runs the PBH test of
-(A, B) once (the theta-inflated pencils need none, their B_theta being
-nonsingular) and holds the constant terms, so a certificate costs one
-Hamiltonian solve, plus the witness solves only when the closed loop meets
-the decay floor. node_feasible, the cap bisection and the certification
-all certify through its one method.
+(A, B) (the theta-inflated pencils need none, their B_theta being
+nonsingular) and holds the constant terms. All of a plant's node problems
+are certified together by _certify_nodes: one batched Hamiltonian solve for
+every node, then one batched witness solve per theta rung for the nodes that
+meet the decay floor. The caps are bisected in lockstep, every node on its
+own bracket, so a floor rung costs one such call per bisection step rather
+than one per node and step, and each node's cap is the one it gets alone.
+node_feasible, the cap bisection and the certification all certify through
+_certify_nodes.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (
 )
 from .linalg import block_diag, require_psd, require_spd, require_symmetric, symmetrize
 from .model import GlobalMatrices, Network, NodeModel, PlantModel, assemble_global
-from .riccati import AreSolution, check_stabilizable, stable_are_solution
+from .riccati import AreSolution, check_stabilizable, stable_are_solutions
 
 # Required strictness of the node LMI witness (acceptance-level contract).
 LMI_STRICTNESS = -1e-10
@@ -153,9 +157,8 @@ def check_minv(gm: GlobalMatrices, M_blocks, P: np.ndarray) -> float:
 class _NodeProblem:
     """One node's strict Riccati/LMI inequality, less its M_i^-1.
 
-    Holds what every certificate of the node shares, so that a certificate
-    costs its ARE solve plus, only when the decay floor holds, its witness
-    solves. Building it runs the PBH test of (A, B) once and raises
+    Holds what every certificate of the node shares; _certify_nodes certifies
+    any set of them. Building it runs the PBH test of (A, B) and raises
     NotStabilizable when it fails. The witness constant terms
     B_theta B_theta^T, B_theta = chol(Q + theta I), need no PBH test of their
     own: B_theta is nonsingular, so every pencil [A - lambda I, B_theta] has
@@ -175,59 +178,87 @@ class _NodeProblem:
         self.delta_ii = np.asarray(delta_ii)
         self.info = self.CtRinvC + self.delta_ii
 
-    def certify(self, m_inv: np.ndarray, decay_floor: float) -> NodeCertificate:
-        """Certificate at the symmetric PSD m_inv whose closed loop decays at
-        rate >= decay_floor; infeasible, with its ARE, before any witness
-        solve when the ARE's closed-loop abscissa is above -decay_floor."""
-        A, B = self.A, self.B
-        S = symmetrize(self.info - m_inv)
-        try:
-            are = stable_are_solution(A, self.Q, S)
-        except NoStabilizingSolution as exc:
-            return NodeCertificate(
-                feasible=False, node_id=-1, m_inv=m_inv, reason=str(exc)
+
+def _certify_nodes(problems, m_invs, decay_floor: float) -> list[NodeCertificate]:
+    """The certificate of each node problem, all of one plant, at its own
+    symmetric PSD M_i^-1 m_invs[j], feasible when its closed loop decays at
+    rate >= decay_floor and its LMI has a strict witness.
+
+    One batched Hamiltonian solve takes every node. A node whose ARE fails,
+    or whose closed-loop abscissa is above -decay_floor, is infeasible with
+    that ARE and gets no witness solve. The others solve the witness ARE one
+    theta rung at a time, each rung one batch of the nodes still without a
+    strict witness. Every certificate is bit for bit the one its node gets
+    alone.
+    """
+    shared = problems[0]  # the plant's terms, the same in every problem
+    A, B = shared.A, shared.B
+    n, q = B.shape
+    m_inv = np.stack(m_invs)
+    S = symmetrize(np.stack([p.info for p in problems]) - m_inv)
+    certs = [None] * len(problems)
+    ares = stable_are_solutions(A, shared.Q, S)
+    pending = []
+    for j, are in enumerate(ares):
+        if isinstance(are, NoStabilizingSolution):
+            certs[j] = NodeCertificate(
+                feasible=False, node_id=-1, m_inv=m_invs[j], reason=str(are)
             )
-        if are.closed_loop_spectral_abscissa > -decay_floor:
-            return NodeCertificate(
+        elif are.closed_loop_spectral_abscissa > -decay_floor:
+            certs[j] = NodeCertificate(
                 feasible=False,
                 node_id=-1,
-                m_inv=m_inv,
+                m_inv=m_invs[j],
                 are=are,
                 reason=f"closed loop decays slower than the floor {decay_floor:g}",
             )
+        else:
+            pending.append(j)
 
-        n, q = B.shape
-        for Q_theta in self.witness_Qs:
-            try:
-                are_theta = stable_are_solution(A, Q_theta, S)
-            except NoStabilizingSolution:
-                continue
-            X = symmetrize(np.linalg.inv(are_theta.Zplus))
-            block = np.empty((n + q, n + q))
-            # C^T R^-1 C and Delta_ii one at a time: grouping them changes bits
-            block[:n, :n] = symmetrize(
-                A.T @ X + X @ A - self.CtRinvC - self.delta_ii + m_inv
-            )
-            block[:n, n:] = X @ B
-            block[n:, :n] = B.T @ X
-            block[n:, n:] = -np.eye(q)
-            lam = float(np.linalg.eigvalsh(symmetrize(block))[-1])
-            if lam < LMI_STRICTNESS:
-                return NodeCertificate(
+    for Q_theta in shared.witness_Qs:
+        if not pending:
+            break
+        solved = [
+            (j, sol)
+            for j, sol in zip(pending, stable_are_solutions(A, Q_theta, S[pending]))
+            if isinstance(sol, AreSolution)
+        ]
+        if not solved:
+            continue
+        idx = [j for j, _ in solved]
+        X = symmetrize(np.linalg.inv(np.stack([sol.Zplus for _, sol in solved])))
+        block = np.empty((len(idx), n + q, n + q))
+        # C^T R^-1 C and Delta_ii one at a time: grouping them changes bits
+        block[:, :n, :n] = symmetrize(
+            A.T @ X + X @ A
+            - np.stack([problems[j].CtRinvC for j in idx])
+            - np.stack([problems[j].delta_ii for j in idx])
+            + m_inv[idx]
+        )
+        block[:, :n, n:] = X @ B
+        block[:, n:, :n] = B.T @ X
+        block[:, n:, n:] = -np.eye(q)
+        lam = np.linalg.eigvalsh(symmetrize(block))[:, -1]
+        for j, X_j, lam_j in zip(idx, X, lam):
+            if lam_j < LMI_STRICTNESS:
+                certs[j] = NodeCertificate(
                     feasible=True,
                     node_id=-1,
-                    m_inv=m_inv,
-                    are=are,
-                    lmi_witness=X,
-                    lmi_margin=lam,
+                    m_inv=m_invs[j],
+                    are=ares[j],
+                    lmi_witness=X_j,
+                    lmi_margin=float(lam_j),
                 )
-        return NodeCertificate(
+        pending = [j for j in pending if certs[j] is None]
+    for j in pending:
+        certs[j] = NodeCertificate(
             feasible=False,
             node_id=-1,
-            m_inv=m_inv,
-            are=are,
+            m_inv=m_invs[j],
+            are=ares[j],
             reason="no strict LMI witness below the -1e-10 margin",
         )
+    return certs
 
 
 def node_feasible(
@@ -241,36 +272,53 @@ def node_feasible(
     Solves the ARE with S = C^T R^-1 C + Delta_ii - M^-1 for the
     gain-limit certificate, then extracts a strict witness X from the
     theta-inflated ARE and evaluates the assembled LMI block at it,
-    requiring lambda_max < -1e-10. This is the node's _NodeProblem certified
-    at decay floor 0, which the ARE's Hurwitz check already implies; the PBH
-    test runs once, on (A, B), and raises NotStabilizable when it fails.
-    Every other failure is reported as an infeasible certificate with a
-    reason.
+    requiring lambda_max < -1e-10. This is _certify_nodes on the node's one
+    problem at decay floor 0, which the ARE's Hurwitz check already implies;
+    the PBH test runs once, on (A, B), and raises NotStabilizable when it
+    fails. Every other failure is reported as an infeasible certificate with
+    a reason.
     """
     m_inv = require_psd(m_inv, "M_inv")
-    return _NodeProblem(plant, node, delta_ii).certify(m_inv, 0.0)
+    return _certify_nodes([_NodeProblem(plant, node, delta_ii)], [m_inv], 0.0)[0]
 
 
-def _node_cap(problem: _NodeProblem, decay_floor: float) -> float | None:
-    """Largest mu with a feasible node certificate whose closed loop decays
-    at rate >= decay_floor; None when even mu = 0 is infeasible."""
-    eye = np.eye(problem.A.shape[0])
+def _node_caps(problems, decay_floor: float) -> list[float | None]:
+    """Each node's largest mu with a feasible certificate whose closed loop
+    decays at rate >= decay_floor; None for a node infeasible even at mu = 0.
 
-    def ok(mu: float) -> bool:
-        return problem.certify(mu * eye, decay_floor).feasible
+    Every node bisects on its own bracket: probes at 0 and MU_HI, then
+    midpoints until hi - lo <= BISECT_RTOL (1 + hi). The nodes still
+    bisecting are certified together, one _certify_nodes call per step, and
+    a node leaves when its bracket closes, so its cap is the one it gets
+    bisected alone.
+    """
+    eye = np.eye(problems[0].A.shape[0])
 
-    if not ok(0.0):
-        return None
-    if ok(MU_HI):
-        return MU_HI
-    lo, hi = 0.0, MU_HI
-    while hi - lo > BISECT_RTOL * (1.0 + hi):
+    def ok(nodes: np.ndarray, mus: np.ndarray) -> np.ndarray:
+        if not nodes.size:
+            return np.zeros(0, dtype=bool)
+        certs = _certify_nodes(
+            [problems[i] for i in nodes], mus[:, None, None] * eye, decay_floor
+        )
+        return np.array([c.feasible for c in certs], dtype=bool)
+
+    caps = [None] * len(problems)
+    nodes = np.arange(len(problems))
+    nodes = nodes[ok(nodes, np.zeros(nodes.size))]
+    top = ok(nodes, np.full(nodes.size, MU_HI))
+    for i in nodes[top]:
+        caps[i] = MU_HI
+    nodes = nodes[~top]
+    lo, hi = np.zeros(nodes.size), np.full(nodes.size, MU_HI)
+    while nodes.size:
+        going = hi - lo > BISECT_RTOL * (1.0 + hi)
+        for i, cap in zip(nodes[~going], lo[~going]):
+            caps[i] = float(cap)
+        nodes, lo, hi = nodes[going], lo[going], hi[going]
         mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        good = ok(nodes, mid)
+        lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
+    return caps
 
 
 def _node_problems(net: Network) -> list[_NodeProblem]:
@@ -293,15 +341,13 @@ def _certify(gm: GlobalMatrices, problems, P: np.ndarray, m_inv_blocks) -> Tunin
     minv_margin = _stacked_margin(gm, P, m_inv_blocks)
     if minv_margin <= 0.0:
         raise Infeasible(float("nan"), float("nan"), f"margin {minv_margin:.4g} <= 0")
-    certificates = []
-    for i, (problem, m_inv) in enumerate(zip(problems, m_inv_blocks), start=1):
-        cert = problem.certify(m_inv, 0.0)
+    certificates = _certify_nodes(problems, m_inv_blocks, 0.0)
+    for i, cert in enumerate(certificates, start=1):
         cert.node_id = i
         if not cert.feasible:
             raise Infeasible(
                 float("nan"), float("nan"), f"node {i} infeasible: {cert.reason}"
             )
-        certificates.append(cert)
     return TuningResult(
         M_blocks=tuple(symmetrize(np.linalg.inv(b)) for b in m_inv_blocks),
         m_inv_blocks=m_inv_blocks,
@@ -336,16 +382,14 @@ def tune_scalar(net: Network, P: np.ndarray) -> TuningResult:
     chosen = None
     last_diag = ""
     for floor in DECAY_FLOORS:
-        caps = []
-        for i, problem in zip(net.node_ids(), problems):
-            cap = _node_cap(problem, floor)
-            if cap is None:
-                raise Infeasible(
-                    mu_lo_uniform,
-                    MU_HI,
-                    f"node {i} has no feasible attenuation level at any M^-1 >= 0",
-                )
-            caps.append(cap)
+        caps = _node_caps(problems, floor)
+        if None in caps:
+            i = caps.index(None) + 1
+            raise Infeasible(
+                mu_lo_uniform,
+                MU_HI,
+                f"node {i} has no feasible attenuation level at any M^-1 >= 0",
+            )
         caps = np.asarray(caps)
         max_margin = profile_margin(caps)
         if max_margin > 0.0:

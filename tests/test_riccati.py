@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menf import (
     LostPositivity,
@@ -18,7 +21,14 @@ from menf import (
     solve_are_stabilizing,
     verify_prop1_limit,
 )
-from menf.riccati import stable_are_solution
+from menf.linalg import DEF_TOL, symmetrize
+from menf.riccati import (
+    ARE_TOL_SCALE,
+    IMAG_AXIS_TOL,
+    _stable_schur,
+    stable_are_solution,
+    stable_are_solutions,
+)
 
 from conftest import chua_scenario
 
@@ -279,21 +289,128 @@ def test_prop1_precondition_enforced():
     assert not report.k0_dominates
 
 
+# A cap-bisection step on one of perfbench's tune-sweep networks (seed 101):
+# every eigenvalue of its H has a real part of order 1e-15.
+NEAR_AXIS_A = np.array([
+    [-3.341930401795378, 9.859421033341572, 0.0],
+    [1.009127818522941, -0.9794328561196928, 1.0422725686422916],
+    [0.0, -14.667973839894007, 0.0],
+])
+NEAR_AXIS_Q = 0.13872081490237975 * np.eye(3)
+NEAR_AXIS_S = np.array([
+    [-8709.670958307208, -166.9439724575893, 2557.387315707238],
+    [-166.9439724575893, -9970.247568113284, -332.9460534868671],
+    [2557.387315707238, -332.9460534868671, -4891.63603955225],
+])
+
+
 def test_near_axis_hamiltonian_raises_no_stabilizing_solution():
-    # A cap-bisection step on one of perfbench's tune-sweep networks (seed
-    # 101): every eigenvalue of H has a real part of order 1e-15. The sorted
-    # Schur decomposition of this H raises LinAlgError ("eigenvalues do not
-    # satisfy the sort condition"), so the axis test must come before it.
-    A = np.array([
-        [-3.341930401795378, 9.859421033341572, 0.0],
-        [1.009127818522941, -0.9794328561196928, 1.0422725686422916],
-        [0.0, -14.667973839894007, 0.0],
-    ])
-    Q = 0.13872081490237975 * np.eye(3)
-    S = np.array([
-        [-8709.670958307208, -166.9439724575893, 2557.387315707238],
-        [-166.9439724575893, -9970.247568113284, -332.9460534868671],
-        [2557.387315707238, -332.9460534868671, -4891.63603955225],
-    ])
+    # The sorted Schur decomposition of this H raises LinAlgError
+    # ("eigenvalues do not satisfy the sort condition"), so the axis test
+    # must come before it.
     with pytest.raises(NoStabilizingSolution, match="imaginary axis"):
-        stable_are_solution(A, Q, S)
+        stable_are_solution(NEAR_AXIS_A, NEAR_AXIS_Q, NEAR_AXIS_S)
+
+
+def test_sorted_schur_fails_as_scipy_schur_does():
+    A, Q, S = NEAR_AXIS_A, NEAR_AXIS_Q, NEAR_AXIS_S
+    H = np.block([[A.T, -S], [-Q, -A]])
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        scipy.linalg.schur(H, output="real", sort=lambda re, im: re < 0.0)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _stable_schur(np.stack([-np.eye(6), H]))
+    assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# The batched Hamiltonian solver against the one-matrix algorithm it replaced
+# ---------------------------------------------------------------------------
+
+def _scalar_are_solution(A, Q, S):
+    """The one-matrix Hamiltonian solve the stacked solver replaced, with
+    np.linalg.eigvals, scipy.linalg.schur(sort=...) and np.linalg.norm on
+    one matrix: the reference stable_are_solutions must reproduce bit for bit.
+    Returns (Zplus, residual, abscissa) or raises NoStabilizingSolution."""
+    n = A.shape[0]
+    H = np.block([[A.T, -S], [-Q, -A]])
+    ev = np.linalg.eigvals(H)
+    axis_tol = IMAG_AXIS_TOL * float(np.linalg.norm(H))
+    if np.min(np.abs(ev.real)) < axis_tol:
+        raise NoStabilizingSolution("Hamiltonian eigenvalue on the imaginary axis")
+    _, Uo, sdim = scipy.linalg.schur(H, output="real", sort=lambda re, im: re < 0.0)
+    if sdim != n:
+        raise NoStabilizingSolution(
+            f"stable invariant subspace has dimension {sdim}, expected {n}"
+        )
+    U1, V1 = Uo[:n, :n], Uo[n:, :n]
+    sv = np.linalg.svd(U1, compute_uv=False)
+    if sv[-1] < 1e-12 * sv[0]:
+        raise NoStabilizingSolution("subspace basis U is numerically singular")
+    Zplus = symmetrize(np.linalg.solve(U1.T, V1.T).T)
+    min_eig = float(np.linalg.eigvalsh(Zplus)[0])
+    if min_eig <= DEF_TOL * (1.0 + float(np.linalg.norm(Zplus))):
+        raise NoStabilizingSolution(f"Z+ not positive definite (min eig {min_eig:.3g})")
+    residual = float(np.linalg.norm(Zplus @ A.T + A @ Zplus - Zplus @ S @ Zplus + Q))
+    tol = ARE_TOL_SCALE * (1.0 + float(np.linalg.norm(Zplus)) ** 2)
+    if residual > tol:
+        raise NoStabilizingSolution(f"residual {residual:.3g} exceeds {tol:.3g}")
+    abscissa = float(np.max(np.linalg.eigvals((A - Zplus @ S).T).real))
+    if abscissa >= 0.0:
+        raise NoStabilizingSolution(f"closed loop not Hurwitz (abscissa {abscissa:.3g})")
+    return Zplus, residual, abscissa
+
+
+def _are_stack(rng, n, k):
+    """A shared (A, Q) and k members S. A, Q and every S share one
+    orthogonal eigenbasis on half the draws, so that a member can be put
+    within roundoff of the imaginary axis: mode i of H has eigenvalues
+    +-sqrt(a_i^2 + s_i q_i). Members mix definite, indefinite and
+    near-axis S."""
+    if rng.random() < 0.5:
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a, q = rng.uniform(-2.0, 2.0, n), rng.uniform(0.2, 2.0, n)
+        A, Q = V @ np.diag(a) @ V.T, symmetrize(V @ np.diag(q) @ V.T)
+        S = []
+        for _ in range(k):
+            s = rng.uniform(-1.0, 3.0, n)
+            if rng.random() < 0.5:
+                i = rng.integers(n)
+                s[i] = -a[i] ** 2 / q[i] * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -6))
+            S.append(symmetrize(V @ np.diag(s) @ V.T))
+        return A, Q, np.stack(S)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    G = rng.standard_normal((k, n, n))
+    S = symmetrize(G @ G.swapaxes(-1, -2)) - rng.uniform(-1.0, 4.0, (k, 1, 1)) * np.eye(n)
+    return A, B @ B.T, S
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_stacked_solver_equals_the_one_matrix_solve(n, k, seed):
+    A, Q, S = _are_stack(np.random.default_rng(seed), n, k)
+    expected = []
+    for s in S:
+        try:
+            expected.append(_scalar_are_solution(A, Q, s))
+        except NoStabilizingSolution as exc:
+            expected.append(str(exc))
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                stable_are_solutions(A, Q, S)
+            return
+    for got in (stable_are_solutions(A, Q, S), [_outcome(A, Q, s) for s in S]):
+        for sol, want in zip(got, expected):
+            if isinstance(want, str):
+                assert isinstance(sol, NoStabilizingSolution) and str(sol) == want
+            else:
+                assert sol.Zplus.tobytes() == want[0].tobytes()
+                assert (sol.residual, sol.closed_loop_spectral_abscissa) == want[1:]
+
+
+def _outcome(A, Q, S):
+    """stable_are_solution, the batch of one, with its failure returned."""
+    try:
+        return stable_are_solution(A, Q, S)
+    except NoStabilizingSolution as exc:
+        return exc

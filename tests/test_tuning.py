@@ -27,7 +27,7 @@ from menf.tuning import (
     LMI_STRICTNESS,
     MU_HI,
     WITNESS_THETAS,
-    _node_cap,
+    _node_caps,
     _NodeProblem,
 )
 
@@ -352,12 +352,13 @@ def _reference_cap(plant, node, delta_ii, floor):
 
 def _assert_caps_match_reference(net):
     plant = net.plant
+    problems = [_NodeProblem(plant, net.node(i), net.delta_block(i)) for i in net.node_ids()]
+    caps = {floor: _node_caps(problems, floor) for floor in DECAY_FLOORS[:3]}
     for i in net.node_ids():
         node, delta_ii = net.node(i), net.delta_block(i)
-        problem = _NodeProblem(plant, node, delta_ii)
         for floor in DECAY_FLOORS[:3]:
             cap, probes = _reference_cap(plant, node, delta_ii, floor)
-            assert _node_cap(problem, floor) == cap
+            assert caps[floor][i - 1] == cap
             # the decisions that fix the cap: both ends and the final bracket
             for mu, cert in probes[:2] + probes[-2:]:
                 composed = _composed_certificate(plant, node, delta_ii, mu * np.eye(plant.n))
