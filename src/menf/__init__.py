@@ -69,11 +69,9 @@ from .tuning import (
 )
 from .verify import (
     BudgetBreakdown,
-    EnergyCandidates,
     HinfReport,
     check_hinf,
     consensus_cost,
-    energy_cost,
     lhs_cost,
     rhs_budget,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "BudgetBreakdown",
     "DimensionMismatch",
     "DisturbanceSpec",
-    "EnergyCandidates",
     "ErrorTrajectories",
     "GainTrajectory",
     "GlobalMatrices",
@@ -120,7 +117,6 @@ __all__ = [
     "check_hinf",
     "check_minv",
     "consensus_cost",
-    "energy_cost",
     "integrate_global_riccati",
     "integrate_riccati",
     "laplacian_P",

@@ -8,7 +8,10 @@ with K(0) = gains.K0, Xcal by default. This module owns that equation:
 riccati_rhs is its one definition and gain_pass its one integrator,
 fixed-step classic RK4 over groups of gain equations, which both the
 coupled engine (sim.simulate_runs, all N nodes of every gain variant at
-once) and integrate_riccati (one gain) step chunk by chunk.
+once) and integrate_riccati (one gain) step chunk by chunk. The one other
+stepper of the gains is deliberate: sim.simulate_error_oracle steps them
+with its own RK4 loop, beside the errors, as the independent cross-check
+of the engine.
 Runs are bit-reproducible, the convergence-order check is meaningful, and
 the grid matches the coupled simulation. K is never inverted here;
 downstream code applies K^-1 through its Cholesky factor L

@@ -551,20 +551,35 @@ def tuning_result_to_document(result: TuningResult) -> dict:
     return {"tuned": doc}
 
 
-_TUNED_KEYS = (
-    "M_inv", "minv_margin", "node_lmi_margins", "closed_loop_abscissas",
-    "mu_profile", "mu_lo_uniform", "decay_floor",
+# (key, one entry per node, lower bound or None, bound is strict) of a
+# tuned file's optional numbers
+_TUNED_OPTIONAL = (
+    ("node_lmi_margins", True, None, False), ("closed_loop_abscissas", True, None, False),
+    ("mu_profile", True, 0.0, True), ("mu_lo_uniform", False, None, False),
+    ("decay_floor", False, 0.0, False),
 )
-
+_TUNED_KEYS = ("M_inv", "minv_margin") + tuple(key for key, *_ in _TUNED_OPTIONAL)
 
 def load_tuned_m(path) -> tuple[tuple[np.ndarray, ...], float]:
-    """Read back a tuned file: (M^-1 blocks, stacked-condition margin)."""
+    """Read back a tuned file: (M^-1 blocks, stacked-condition margin).
+
+    The optional keys are checked too, each per-node list for one number
+    per M^-1 block; a bad value raises at "<path>: tuned.<key>".
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = _safe_load(fh.read(), str(path))
     tuned = _check_mapping(raw, ("tuned",), ("tuned",), str(path))["tuned"]
-    _check_mapping(tuned, _TUNED_KEYS, ("M_inv", "minv_margin"), f"{path}: tuned")
-    blocks = _blocks(tuned["M_inv"], f"{path}: tuned.M_inv")
-    margin = _number(tuned["minv_margin"], f"{path}: tuned.minv_margin")
+    where = f"{path}: tuned"
+    _check_mapping(tuned, _TUNED_KEYS, ("M_inv", "minv_margin"), where)
+    blocks = _blocks(tuned["M_inv"], f"{where}.M_inv")
+    margin = _number(tuned["minv_margin"], f"{where}.minv_margin")
+    for key, per_node, low, strict in (k for k in _TUNED_OPTIONAL if k[0] in tuned):
+        at = f"{where}.{key}"
+        values = _vector(tuned[key], at) if per_node else [tuned[key]]
+        if per_node and len(values) != len(blocks):
+            raise _fail(f"expected {len(blocks)} numbers, one per M_inv block", at)
+        for value in values:
+            _number(value, at, low, strict)
     return tuple(np.array(b) for b in blocks), margin
 
 

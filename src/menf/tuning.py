@@ -22,15 +22,16 @@ so the strict witness X_i is taken from the ARE with constant term inflated
 to B B^T + theta I, which shifts the block to -theta X_i^2 < 0.
 
 Cost: a tune_scalar or verify_tuning call assembles the stacked matrices
-once and builds each node's inequality once, as a _NodeProblem that every
+once and builds the node inequalities once, as one _NodeProblems that every
 decay-floor rung and the final certification share. It runs the PBH test of
-(A, B) (the theta-inflated pencils need none, their B_theta being
-nonsingular) and holds the constant terms. All of a plant's node problems
-are certified together by _certify_nodes: one batched Hamiltonian solve for
-every node, then one batched witness solve per theta rung for the nodes that
-meet the decay floor. The caps are bisected in lockstep, every node on its
-own bracket, so a floor rung costs one such call per bisection step rather
-than one per node and step, and each node's cap is the one it gets alone.
+(A, B) once (the theta-inflated pencils need none, their B_theta being
+nonsingular) and holds the plant's constant terms and each node's own
+terms. All of a plant's node problems are certified together by
+_certify_nodes: one batched Hamiltonian solve for every node, then one
+batched witness solve per theta rung for the nodes that meet the decay
+floor. The caps are bisected in lockstep, every node on its own bracket, so
+a floor rung costs one such call per bisection step rather than one per
+node and step, and each node's cap is the one it gets alone.
 node_feasible, the cap bisection and the certification all certify through
 _certify_nodes.
 """
@@ -154,18 +155,19 @@ def check_minv(gm: GlobalMatrices, M_blocks, P: np.ndarray) -> float:
     return _stacked_margin(gm, _require_P(gm, P), inv_blocks)
 
 
-class _NodeProblem:
-    """One node's strict Riccati/LMI inequality, less its M_i^-1.
+class _NodeProblems:
+    """The strict Riccati/LMI inequalities of a plant's nodes, less M_i^-1.
 
-    Holds what every certificate of the node shares; _certify_nodes certifies
-    any set of them. Building it runs the PBH test of (A, B) and raises
-    NotStabilizable when it fails. The witness constant terms
-    B_theta B_theta^T, B_theta = chol(Q + theta I), need no PBH test of their
-    own: B_theta is nonsingular, so every pencil [A - lambda I, B_theta] has
-    full rank.
+    Holds what every certificate shares, built once: the plant's A, B, its
+    constant term B B^T and the witness constant terms B_theta B_theta^T,
+    B_theta = chol(Q + theta I), one per theta rung; and each node's own
+    C^T R^-1 C and Delta_ii, stacked node by node. Building it runs the PBH
+    test of (A, B) once and raises NotStabilizable when it fails. The witness
+    terms need no PBH test of their own: B_theta is nonsingular, so every
+    pencil [A - lambda I, B_theta] has full rank.
     """
 
-    def __init__(self, plant: PlantModel, node: NodeModel, delta_ii: np.ndarray):
+    def __init__(self, plant: PlantModel, nodes, delta_blocks):
         self.A, self.B = plant.A, plant.B
         check_stabilizable(self.A, self.B)
         self.Q = self.B @ self.B.T  # not plant.Q, whose symmetrized bits differ
@@ -174,13 +176,13 @@ class _NodeProblem:
         for theta_rel in WITNESS_THETAS:
             B_theta = np.linalg.cholesky(plant.Q + theta_rel * q_norm * np.eye(plant.n))
             self.witness_Qs.append(B_theta @ B_theta.T)
-        self.CtRinvC = node.CtRinvC
-        self.delta_ii = np.asarray(delta_ii)
+        self.CtRinvC = np.stack([node.CtRinvC for node in nodes])
+        self.delta_ii = np.stack(list(delta_blocks))
         self.info = self.CtRinvC + self.delta_ii
 
 
-def _certify_nodes(problems, m_invs, decay_floor: float) -> list[NodeCertificate]:
-    """The certificate of each node problem, all of one plant, at its own
+def _certify_nodes(problems, nodes, m_invs, decay_floor: float) -> list[NodeCertificate]:
+    """The certificate of node nodes[j] (0-based) of the problems at its own
     symmetric PSD M_i^-1 m_invs[j], feasible when its closed loop decays at
     rate >= decay_floor and its LMI has a strict witness.
 
@@ -191,13 +193,13 @@ def _certify_nodes(problems, m_invs, decay_floor: float) -> list[NodeCertificate
     strict witness. Every certificate is bit for bit the one its node gets
     alone.
     """
-    shared = problems[0]  # the plant's terms, the same in every problem
-    A, B = shared.A, shared.B
+    A, B = problems.A, problems.B
     n, q = B.shape
+    nodes = np.asarray(nodes)
     m_inv = np.stack(m_invs)
-    S = symmetrize(np.stack([p.info for p in problems]) - m_inv)
-    certs = [None] * len(problems)
-    ares = stable_are_solutions(A, shared.Q, S)
+    S = symmetrize(problems.info[nodes] - m_inv)
+    certs = [None] * len(nodes)
+    ares = stable_are_solutions(A, problems.Q, S)
     pending = []
     for j, are in enumerate(ares):
         if isinstance(are, NoStabilizingSolution):
@@ -215,7 +217,7 @@ def _certify_nodes(problems, m_invs, decay_floor: float) -> list[NodeCertificate
         else:
             pending.append(j)
 
-    for Q_theta in shared.witness_Qs:
+    for Q_theta in problems.witness_Qs:
         if not pending:
             break
         solved = [
@@ -231,8 +233,8 @@ def _certify_nodes(problems, m_invs, decay_floor: float) -> list[NodeCertificate
         # C^T R^-1 C and Delta_ii one at a time: grouping them changes bits
         block[:, :n, :n] = symmetrize(
             A.T @ X + X @ A
-            - np.stack([problems[j].CtRinvC for j in idx])
-            - np.stack([problems[j].delta_ii for j in idx])
+            - problems.CtRinvC[nodes[idx]]
+            - problems.delta_ii[nodes[idx]]
             + m_inv[idx]
         )
         block[:, :n, n:] = X @ B
@@ -279,7 +281,7 @@ def node_feasible(
     a reason.
     """
     m_inv = require_psd(m_inv, "M_inv")
-    return _certify_nodes([_NodeProblem(plant, node, delta_ii)], [m_inv], 0.0)[0]
+    return _certify_nodes(_NodeProblems(plant, [node], [delta_ii]), [0], [m_inv], 0.0)[0]
 
 
 def _node_caps(problems, decay_floor: float) -> list[float | None]:
@@ -292,18 +294,16 @@ def _node_caps(problems, decay_floor: float) -> list[float | None]:
     a node leaves when its bracket closes, so its cap is the one it gets
     bisected alone.
     """
-    eye = np.eye(problems[0].A.shape[0])
+    eye = np.eye(problems.A.shape[0])
 
     def ok(nodes: np.ndarray, mus: np.ndarray) -> np.ndarray:
         if not nodes.size:
             return np.zeros(0, dtype=bool)
-        certs = _certify_nodes(
-            [problems[i] for i in nodes], mus[:, None, None] * eye, decay_floor
-        )
+        certs = _certify_nodes(problems, nodes, mus[:, None, None] * eye, decay_floor)
         return np.array([c.feasible for c in certs], dtype=bool)
 
-    caps = [None] * len(problems)
-    nodes = np.arange(len(problems))
+    caps = [None] * len(problems.info)
+    nodes = np.arange(len(problems.info))
     nodes = nodes[ok(nodes, np.zeros(nodes.size))]
     top = ok(nodes, np.full(nodes.size, MU_HI))
     for i in nodes[top]:
@@ -321,8 +321,8 @@ def _node_caps(problems, decay_floor: float) -> list[float | None]:
     return caps
 
 
-def _node_problems(net: Network) -> list[_NodeProblem]:
-    return [_NodeProblem(net.plant, net.node(i), net.delta_block(i)) for i in net.node_ids()]
+def _node_problems(net: Network) -> _NodeProblems:
+    return _NodeProblems(net.plant, net.nodes, [net.delta_block(i) for i in net.node_ids()])
 
 
 def _certify(gm: GlobalMatrices, problems, P: np.ndarray, m_inv_blocks) -> TuningResult:
@@ -333,15 +333,14 @@ def _certify(gm: GlobalMatrices, problems, P: np.ndarray, m_inv_blocks) -> Tunin
     m_inv_blocks = tuple(
         require_spd(b, f"M_inv_{i}") for i, b in enumerate(m_inv_blocks, start=1)
     )
-    if len(m_inv_blocks) != len(problems):
-        raise DimensionMismatch(
-            f"expected {len(problems)} M^-1 blocks, got {len(m_inv_blocks)}"
-        )
+    N = len(problems.info)
+    if len(m_inv_blocks) != N:
+        raise DimensionMismatch(f"expected {N} M^-1 blocks, got {len(m_inv_blocks)}")
     P = _require_P(gm, P)
     minv_margin = _stacked_margin(gm, P, m_inv_blocks)
     if minv_margin <= 0.0:
         raise Infeasible(float("nan"), float("nan"), f"margin {minv_margin:.4g} <= 0")
-    certificates = _certify_nodes(problems, m_inv_blocks, 0.0)
+    certificates = _certify_nodes(problems, range(N), m_inv_blocks, 0.0)
     for i, cert in enumerate(certificates, start=1):
         cert.node_id = i
         if not cert.feasible:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import shutil
 
@@ -657,3 +658,75 @@ def test_single_leaf_manifest_edit_exits_1_naming_its_key(one_node_run, tmp_path
     assert code == 1, (path, edit)
     assert f"manifest.yaml: {path[0]}" in err.getvalue(), (path, edit, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_tuned(tmp_path_factory):
+    """SMALL and the tuned file `menf tune` writes for it, every optional key
+    present."""
+    tmp = tmp_path_factory.mktemp("small")
+    scen, tuned = write_small(tmp), tmp / "tuned.yaml"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["tune", str(scen), "--out", str(tuned)]) == 0
+    return scen, yaml.safe_load(tuned.read_text(encoding="utf-8"))
+
+
+def _may_not_be_negative(path):
+    """A diagonal entry of an M^-1 block, a mu_i or the decay floor: numbers
+    of a tuned file that no negative value can fill."""
+    if path[1] == "M_inv":
+        return path[-1] == path[-2]
+    return path[1] in ("mu_profile", "decay_floor")
+
+
+def _drop(doc, path):
+    """doc, without the key or list item at its key path."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return doc
+
+
+_SMALL_TUNED_LEAVES = [
+    ("tuned", "M_inv", b, r, c) for b in range(2) for r in range(2) for c in range(2)
+] + [
+    ("tuned", key, i)
+    for key in ("node_lmi_margins", "closed_loop_abscissas", "mu_profile")
+    for i in range(2)
+] + [("tuned", key) for key in ("minv_margin", "mu_lo_uniform", "decay_floor")]
+# a block, a block's row, one entry of each per-node list, the whole section
+_TUNED_DROPS = [
+    ("tuned", "M_inv", 0), ("tuned", "M_inv", 0, 0), ("tuned", "node_lmi_margins", 0),
+    ("tuned", "closed_loop_abscissas", 0), ("tuned", "mu_profile", 0), ("tuned",),
+]
+_TUNED_EDITS = [
+    (path, edit)
+    for path in _SMALL_TUNED_LEAVES
+    for edit in _EDITS
+    if edit != "negative" or _may_not_be_negative(path)
+] + [(path, "drop") for path in _TUNED_DROPS]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(_TUNED_EDITS))
+def test_single_tuned_file_edit_exits_1_naming_tuned(small_tuned, tmp_path_factory, case):
+    """The exit-1 contract over single edits of a tuned file, each of its
+    numbers and its structure: simulate --tuned exits 1 naming the tuned
+    section, with no traceback."""
+    scen, tuned = small_tuned
+    path, edit = case
+    assert sorted(_numeric_leaves(tuned)) == sorted(_SMALL_TUNED_LEAVES)
+    doc = copy.deepcopy(tuned)
+    doc = _drop(doc, path) if edit == "drop" else _edit_leaf(doc, path, edit)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    # paths without "tuned" in them, so that the message must name the key
+    edited = tmp / "edited.yaml"
+    edited.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["simulate", str(scen), "--out", str(tmp / "run"), "--tuned", str(edited)])
+    message = err.getvalue()
+    assert code == 1, (path, edit)
+    assert str(edited) in message and "tuned" in message.replace(str(edited), ""), message
+    assert "Traceback" not in message

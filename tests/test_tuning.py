@@ -28,7 +28,7 @@ from menf.tuning import (
     MU_HI,
     WITNESS_THETAS,
     _node_caps,
-    _NodeProblem,
+    _NodeProblems,
 )
 
 from conftest import make_single_node_network, random_network
@@ -228,21 +228,28 @@ def test_verify_tuning_hook_accepts_tuned_blocks_random(N, n, seed):
 def test_tune_scalar_assembles_once_and_builds_each_node_problem_once(
     chua_net, chua_P, monkeypatch
 ):
-    calls = {"assemble_global": 0, "_NodeProblem": 0}
-    assemble, init = menf.tuning.assemble_global, _NodeProblem.__init__
+    # the plant's PBH test runs once per tune, not once per node
+    calls = {"assemble_global": 0, "_NodeProblems": 0, "check_stabilizable": 0}
+    assemble, init = menf.tuning.assemble_global, _NodeProblems.__init__
+    pbh = menf.tuning.check_stabilizable
 
     def counted_assemble(*args):
         calls["assemble_global"] += 1
         return assemble(*args)
 
     def counted_init(self, *args):
-        calls["_NodeProblem"] += 1
+        calls["_NodeProblems"] += 1
         init(self, *args)
 
+    def counted_pbh(*args):
+        calls["check_stabilizable"] += 1
+        pbh(*args)
+
     monkeypatch.setattr(menf.tuning, "assemble_global", counted_assemble)
-    monkeypatch.setattr(_NodeProblem, "__init__", counted_init)
+    monkeypatch.setattr(_NodeProblems, "__init__", counted_init)
+    monkeypatch.setattr(menf.tuning, "check_stabilizable", counted_pbh)
     tune_scalar(chua_net, chua_P)
-    assert calls == {"assemble_global": 1, "_NodeProblem": chua_net.N}
+    assert calls == {"assemble_global": 1, "_NodeProblems": 1, "check_stabilizable": 1}
 
 
 _BAD_STACKED_SHAPES = {
@@ -352,7 +359,7 @@ def _reference_cap(plant, node, delta_ii, floor):
 
 def _assert_caps_match_reference(net):
     plant = net.plant
-    problems = [_NodeProblem(plant, net.node(i), net.delta_block(i)) for i in net.node_ids()]
+    problems = _NodeProblems(plant, net.nodes, [net.delta_block(i) for i in net.node_ids()])
     caps = {floor: _node_caps(problems, floor) for floor in DECAY_FLOORS[:3]}
     for i in net.node_ids():
         node, delta_ii = net.node(i), net.delta_block(i)
@@ -370,7 +377,7 @@ def _assert_caps_match_reference(net):
 def test_node_cap_equals_the_bisection_over_node_feasible(N, n, seed):
     net = random_network(np.random.default_rng(seed), N, n)
     try:
-        _NodeProblem(net.plant, net.node(1), net.delta_block(1))
+        _NodeProblems(net.plant, net.nodes[:1], [net.delta_block(1)])
     except NotStabilizable:
         with pytest.raises(NotStabilizable):
             node_feasible(net.plant, net.node(1), net.delta_block(1), np.zeros((n, n)))
