@@ -560,6 +560,7 @@ _TUNED_OPTIONAL = (
 )
 _TUNED_KEYS = ("M_inv", "minv_margin") + tuple(key for key, *_ in _TUNED_OPTIONAL)
 
+
 def load_tuned_m(path) -> tuple[tuple[np.ndarray, ...], float]:
     """Read back a tuned file: (M^-1 blocks, stacked-condition margin).
 

@@ -2,7 +2,6 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from menf import (
     NeighborLink,
@@ -14,11 +13,6 @@ from menf import (
     tune_scalar,
 )
 from menf.scenario_io import bundled_chua_text, document_to_scenario, parse_document
-
-# Selected in CI by --hypothesis-profile=ci: a failing example is printed
-# with the blob that replays it (@reproduce_failure). Local runs keep the
-# default profile.
-settings.register_profile("ci", print_blob=True)
 
 # The paper's Chua plant and graph, which the bundled scenario must carry.
 CHUA_A = np.array([[-3.2, 10.0, 0.0], [1.0, -1.0, 1.0], [0.0, -14.87, 0.0]])

@@ -668,7 +668,9 @@ def small_tuned(tmp_path_factory):
     scen, tuned = write_small(tmp), tmp / "tuned.yaml"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["tune", str(scen), "--out", str(tuned)]) == 0
-    return scen, yaml.safe_load(tuned.read_text(encoding="utf-8"))
+    doc = yaml.safe_load(tuned.read_text(encoding="utf-8"))
+    assert sorted(_numeric_leaves(doc)) == sorted(_SMALL_TUNED_LEAVES)
+    return scen, doc
 
 
 def _may_not_be_negative(path):
@@ -708,15 +710,15 @@ _TUNED_EDITS = [
 ] + [(path, "drop") for path in _TUNED_DROPS]
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=st.sampled_from(_TUNED_EDITS))
-def test_single_tuned_file_edit_exits_1_naming_tuned(small_tuned, tmp_path_factory, case):
-    """The exit-1 contract over single edits of a tuned file, each of its
+@pytest.mark.parametrize(
+    "path, edit", _TUNED_EDITS,
+    ids=[".".join(map(str, path)) + f"-{edit}" for path, edit in _TUNED_EDITS],
+)
+def test_single_tuned_file_edit_exits_1_naming_tuned(small_tuned, tmp_path_factory, path, edit):
+    """The exit-1 contract over every single edit of a tuned file, each of its
     numbers and its structure: simulate --tuned exits 1 naming the tuned
     section, with no traceback."""
     scen, tuned = small_tuned
-    path, edit = case
-    assert sorted(_numeric_leaves(tuned)) == sorted(_SMALL_TUNED_LEAVES)
     doc = copy.deepcopy(tuned)
     doc = _drop(doc, path) if edit == "drop" else _edit_leaf(doc, path, edit)
     tmp = tmp_path_factory.mktemp("fuzz")
