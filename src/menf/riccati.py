@@ -13,9 +13,8 @@ stepper of the gains is deliberate: sim.simulate_error_oracle steps them
 with its own RK4 loop, beside the errors, as the independent cross-check
 of the engine.
 Runs are bit-reproducible, the convergence-order check is meaningful, and
-the grid matches the coupled simulation. K is never inverted here;
-downstream code applies K^-1 through its Cholesky factor L
-(K^-1 = L^-T L^-1).
+the grid matches the coupled simulation. K is never inverted here; the
+engine inverts the stage gains of a chunk at once (sim._inverses).
 
 The associated ARE  Z A^T + A Z - Z S Z + B B^T = 0  with
 S = C^T R^-1 C + [Delta]_ii - M^-1 (possibly indefinite) is solved for its
@@ -65,9 +64,9 @@ PBH_TOL = 1e-9
 
 # Byte budget of the stage gains held for one chunk of a gain pass (four
 # RK4 stage gains per step and gain). Small on purpose: the chunk's buffers
-# (stage gains, and in the engine their Cholesky factors and inverses) add
-# directly to a run's peak resident memory, while larger chunks save little
-# more Python overhead.
+# (stage gains, and in the engine the three same-sized work arrays of
+# sim._inverses and the inverses it returns) add directly to a run's peak
+# resident memory, while larger chunks save little more Python overhead.
 CHUNK_BYTES = 128 * 1024
 
 
@@ -358,8 +357,9 @@ def stable_are_solutions(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> list:
     degenerate, Z+ is not positive definite, its residual is too large, or
     the closed loop is not Hurwitz, tested in that order. Each step runs on
     the stack of the members still standing, except the sorted Schur form,
-    which LAPACK computes one matrix at a time; a member's outcome is bit for
-    bit the one it gets in a stack of its own.
+    which LAPACK computes one matrix at a time, and no step runs once none
+    stands; a member's outcome is bit for bit the one it gets in a stack of
+    its own.
     """
     k, n = S.shape[0], A.shape[0]
     H = np.empty((k, 2 * n, 2 * n))
@@ -375,20 +375,28 @@ def stable_are_solutions(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> list:
     on_axis = np.abs(ev_re).min(axis=-1) < IMAG_AXIS_TOL * frobenius_norms(H)
     alive, H, S = _drop(out, on_axis, lambda p: "Hamiltonian eigenvalue on the imaginary axis",
                         np.arange(k), H, S)
+    if not alive.size:
+        return out
 
     U, dims = _stable_schur(H)
     alive, U, S = _drop(out, dims != n, lambda p: (
         f"stable invariant subspace has dimension {dims[p]}, expected {n}"), alive, U, S)
+    if not alive.size:
+        return out
     U1, V1 = U[:, :n, :n], U[:, n:, :n]
     sv = np.linalg.svd(U1, compute_uv=False)
     alive, U1, V1, S = _drop(out, sv[:, -1] < 1e-12 * sv[:, 0],
                              lambda p: "subspace basis U is numerically singular",
                              alive, U1, V1, S)
+    if not alive.size:
+        return out
     Zplus = symmetrize(np.linalg.solve(U1.swapaxes(-1, -2), V1.swapaxes(-1, -2)).swapaxes(-1, -2))
 
     min_eig = np.linalg.eigvalsh(Zplus)[:, 0]
     alive, Zplus, S = _drop(out, min_eig <= definiteness_threshold(Zplus), lambda p: (
         f"Z+ not positive definite (min eig {min_eig[p]:.3g})"), alive, Zplus, S)
+    if not alive.size:
+        return out
 
     residual = frobenius_norms(Zplus @ A.T + A @ Zplus - Zplus @ S @ Zplus + Q)
     # float ** 2 is libm's pow: numpy's ** 2, a rounded product, differs in
@@ -396,6 +404,8 @@ def stable_are_solutions(A: np.ndarray, Q: np.ndarray, S: np.ndarray) -> list:
     tol = np.array([ARE_TOL_SCALE * (1.0 + float(z) ** 2) for z in frobenius_norms(Zplus)])
     alive, Zplus, S, residual = _drop(out, residual > tol, lambda p: (
         f"residual {residual[p]:.3g} exceeds {tol[p]:.3g}"), alive, Zplus, S, residual)
+    if not alive.size:
+        return out
 
     abscissa = np.linalg.eigvals((A - Zplus @ S).swapaxes(-1, -2)).real.max(axis=-1)
     alive, Zplus, residual, abscissa = _drop(out, abscissa >= 0.0, lambda p: (

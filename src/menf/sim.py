@@ -14,9 +14,10 @@ network (make_isolated_variant) is another.
    package's one gain stepper, runs RK4 on the N gain equations of every
    variant at once, stacked as (V, N, n, n), keeping the four stage gains
    of every step of the chunk and guarding positivity at the chunk's grid
-   points with one batched eigvalsh. One batched Cholesky then factors all
-   stage gains (its failure is SingularGain) and gives each
-   K^-1 = L^-T L^-1.
+   points with one batched eigvalsh. _inverses then factors every stage
+   gain of the chunk, K = L L^T, and gives K^-1 = X^T X with X = L^-1, by
+   elementwise array passes over the whole stack rather than LAPACK calls
+   per matrix; a pivot that is not > 0, NaN included, is SingularGain.
 2. State pass. The same steps for every run's z = [x; xhat_1; ...; xhat_N],
    stacked as (S, m, 1), through filters.filter_field: every stage's
    innovations are one mat-vec per run with the stacked operator of its
@@ -483,10 +484,43 @@ def _check_gains(K: np.ndarray, t: float) -> None:
         raise LostPositivity(t, float(min_eigs.min()))
 
 
-def _inverses(stages: np.ndarray) -> np.ndarray:
-    """K^-1 = L^-T L^-1 for a stack of gains, from one batched Cholesky."""
-    L_inv = np.linalg.inv(np.linalg.cholesky(stages))
-    return np.matmul(np.swapaxes(L_inv, -1, -2), L_inv)
+def _inverses(K: np.ndarray):
+    """K^-1 for a stack of gains (..., n, n), and which of them failed.
+
+    Each member is factored K = L L^T (Cholesky, reading only its lower
+    triangle), L is inverted to X = L^-1 by forward substitution, and
+    K^-1 = X^T X. All three run as elementwise array operations over the
+    whole stack, held on the last axis, one outer-product update per row
+    or column: so the number of numpy calls depends only on n, and every
+    sum runs in a fixed order, k ascending. A member's bits are therefore
+    the same alone and in any stack, and its (i, j) and (j, i) entries are
+    the same products summed in the same order, so each inverse is exactly
+    symmetric. A member fails, True in the returned (...) mask, when one
+    of its pivots is not > 0 (NaN included); its inverse is then garbage,
+    and computing it warns of nothing.
+    """
+    n = K.shape[-1]
+    L = K.reshape(-1, n, n).transpose(1, 2, 0).copy()
+    X = np.zeros_like(L)
+    X[np.arange(n), np.arange(n)] = 1.0
+    K_inv = np.zeros_like(L)
+    ok = np.ones(L.shape[-1], dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            pivot = L[j, j]
+            ok &= pivot > 0.0
+            np.sqrt(pivot, out=pivot)
+            col = L[j + 1:, j]
+            col /= pivot
+            L[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+        for k in range(n):
+            row = X[k, :k + 1]
+            row /= L[k, k]
+            X[k + 1:, :k + 1] -= L[k + 1:, k, None] * row[None, :]
+        for k in range(n):
+            row = X[k, :k + 1]
+            K_inv[:k + 1, :k + 1] += row[:, None] * row[None, :]
+    return K_inv.transpose(2, 0, 1).reshape(K.shape), ~ok.reshape(K.shape[:-2])
 
 
 def _stage_inverses(stages: np.ndarray, k0: int, dt: float):
@@ -497,22 +531,15 @@ def _stage_inverses(stages: np.ndarray, k0: int, dt: float):
     stages before the first such stage together with (step offset, stage,
     SingularGain, group), naming the first group failing at that stage.
     """
-    flat = stages.reshape((-1,) + stages.shape[2:])
-    try:
-        return _inverses(flat), None
-    except np.linalg.LinAlgError:
-        pass
-    for f, groups in enumerate(flat):
-        for g, K in enumerate(groups):
-            try:
-                np.linalg.cholesky(K)
-            except np.linalg.LinAlgError as exc:
-                k, stage = divmod(f, 4)
-                t = (k0 + k) * dt + _STAGE_OFFSETS[stage] * dt
-                error = SingularGain(f"at t={t:.6g}: {exc}")
-                error.__cause__ = exc
-                return _inverses(flat[:f]), (k, stage, error, g)
-    raise AssertionError("batched Cholesky failed on gains that factor one by one")
+    K_inv, failed = _inverses(stages.reshape((-1,) + stages.shape[2:]))
+    where = np.argwhere(failed)
+    if not len(where):
+        return K_inv, None
+    f, g, i = (int(x) for x in where[0])
+    k, stage = divmod(f, 4)
+    t = (k0 + k) * dt + _STAGE_OFFSETS[stage] * dt
+    error = SingularGain(f"at t={t:.6g}: stage gain of node {i + 1} is not positive definite")
+    return K_inv[:f], (k, stage, error, g)
 
 
 def _require_shared_grid(scenarios: list[Scenario]) -> None:
@@ -722,7 +749,9 @@ def simulate_error_oracle(
 ) -> ErrorTrajectories:
     """Integrate the stacked error dynamics directly, re-using the realized
     disturbances of a prior run. Cross-validation only: the result must match
-    xhat - x from simulate() up to roundoff."""
+    xhat - x from simulate() up to roundoff. It solves with K by LAPACK's
+    Cholesky on purpose, so that it checks the engine's _inverses independently.
+    """
     net = scenario.network
     coeffs = RiccatiCoefficients.for_nodes(net, scenario.require_m_inv())
     dt = scenario.dt

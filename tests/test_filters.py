@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from menf import DisturbanceSpec, Scenario, SingularGain, X0Law, realize_disturbances
 from menf.filters import disturbance_term, error_inner, filter_field, stacked_operator
@@ -51,7 +55,7 @@ def engine_field(net, x, xhat, K, w=None, v=None, eps=None):
     d = disturbance_term(net, realize_disturbances(scenario), 0, 1)[0]
     n = net.n
     z = np.concatenate([x] + [xhat[i] for i in net.node_ids()])
-    K_inv = _inverses(np.stack([K[i] for i in net.node_ids()]))
+    K_inv = _inverses(np.stack([K[i] for i in net.node_ids()]))[0]
     M = stacked_operator(net)
     dz = filter_field(M, z[None, :, None], K_inv, d[None, :n, None], d[None, n:, None])
     # |A| |z| + |B w|, then per node |K^-1| (|H| |z| + |g|)
@@ -163,14 +167,14 @@ def test_filter_minus_plant_equals_error_dynamics():
 
 
 def test_gain_application_is_solve_based():
-    # the oracle's Cholesky solves and the engine's cached L^-T L^-1 both
+    # the oracle's Cholesky solves and the engine's cached X^T X, X = L^-1, both
     # agree with the explicit-inverse reference on well-conditioned gains
     rng = np.random.default_rng(8)
     K = np.stack([np.diag([2.0, 3.0, 5.0]), np.eye(3) * 2.0 + 0.3 * np.ones((3, 3))])
     rhs = rng.standard_normal((2, 3))
     reference = np.stack([np.linalg.inv(K[i]) @ rhs[i] for i in range(2)])
     np.testing.assert_allclose(_spd_solve_batched(K, rhs, 0.0), reference, rtol=0, atol=1e-12)
-    engine = np.matmul(_inverses(K), rhs[:, :, None])[:, :, 0]
+    engine = np.matmul(_inverses(K)[0], rhs[:, :, None])[:, :, 0]
     np.testing.assert_allclose(engine, reference, rtol=0, atol=1e-12)
 
 
@@ -187,3 +191,93 @@ def test_singular_gain_detected():
     assert len(inverses) == 4 + 2
     assert isinstance(error, SingularGain)
     assert "at t=0.0115:" in str(error)
+
+
+_BAD_KINDS = ("indefinite", "zero", "nan", "+inf", "-inf")
+
+
+def _lower_symmetrized(K):
+    """K with its strict upper triangle replaced by the mirrored lower one."""
+    return np.tril(K) + np.tril(K, -1).swapaxes(-1, -2)
+
+
+def _cholesky_rejects(K) -> bool:
+    """Whether LAPACK's Cholesky of one matrix fails: it raises, or it
+    returns a NaN pivot, which OpenBLAS's unblocked potf2 lets through
+    (NaN <= 0 is false)."""
+    try:
+        L = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return True
+    return bool(np.isnan(np.diagonal(L)).any())
+
+
+def _stage_member(rng, n, kind):
+    """One stage gain: Q diag(lam) Q^T with a spread spectrum (condition
+    number up to 1e8) and a strict upper triangle that is noise or NaN, so
+    only the lower triangle defines it; or a member of one of _BAD_KINDS."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = 10.0 ** rng.uniform(-8.0, 0.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "indefinite":
+        lam[rng.integers(n)] = -lam.max() * rng.uniform(0.01, 1.0)
+    K = (Q * lam) @ Q.T
+    upper = np.triu_indices(n, 1)
+    K[upper] = np.nan if rng.random() < 0.5 else K[upper] + rng.standard_normal(len(upper[0]))
+    if kind == "zero":
+        K = np.zeros((n, n))
+    elif kind in ("nan", "+inf", "-inf"):
+        i = int(rng.integers(n))
+        K[i, rng.integers(i + 1)] = float(kind)
+    return K
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 3), st.integers(1, 2)),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_BAD_KINDS)), max_size=3),
+)
+@example(n=3, shape=(2, 2, 2), seed=0, bad=[(0, "nan")])
+@example(n=1, shape=(1, 1, 1), seed=1, bad=[(0, "zero")])
+def test_stage_inverses_against_lapack_alone_and_in_any_stack(n, shape, seed, bad):
+    # (steps, 4 stages, G groups, N nodes) stage gains of one chunk, up to
+    # 288 matrices; the bad members land at any flat index, 0 included
+    steps, G, N = shape
+    rng = np.random.default_rng(seed)
+    kinds = ["spd"] * (steps * 4 * G * N)
+    for pos, kind in bad:
+        kinds[pos % len(kinds)] = kind
+    flat = np.stack([_stage_member(rng, n, kind) for kind in kinds])
+    stages = flat.reshape((steps, 4, G, N, n, n))
+    rejected = np.array([_cholesky_rejects(K) for K in flat])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K_inv, failed = _inverses(flat)
+        alone = [_inverses(K[None]) for K in flat]
+        inverses, failure = _stage_inverses(stages, 10, 1e-3)
+    assert failed.tolist() == rejected.tolist()
+    # exactly symmetric, and the same bits alone as in the stack
+    passed = ~failed
+    assert np.array_equal(K_inv[passed], K_inv[passed].swapaxes(-1, -2))
+    for j, (inv, fail) in enumerate(alone):
+        assert fail.tolist() == [failed[j]]
+        if passed[j]:
+            assert inv[0].tobytes() == K_inv[j].tobytes()
+    eps = np.finfo(float).eps
+    for j in np.flatnonzero(passed & np.isfinite(flat).all(axis=(1, 2))):
+        K = _lower_symmetrized(flat[j])
+        reference = np.linalg.inv(K)
+        tol = 10 * n * eps * np.linalg.cond(K) * np.abs(reference).max()
+        assert np.abs(K_inv[j] - reference).max() <= tol
+    # a chunk fails at its first rejected member, in step, stage, group order
+    first = np.flatnonzero(rejected)
+    f = first[0] // (G * N) if first.size else 4 * steps
+    assert inverses.shape == (f, G, N, n, n)
+    assert inverses.tobytes() == K_inv.reshape((-1, G, N, n, n))[:f].tobytes()
+    if not first.size:
+        assert failure is None
+    else:
+        g, i = divmod(first[0] % (G * N), N)
+        assert failure[:2] == divmod(f, 4) and failure[3] == g
+        assert isinstance(failure[2], SingularGain) and f"node {i + 1} " in str(failure[2])

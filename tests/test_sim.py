@@ -364,6 +364,15 @@ def test_singular_gain_timestamp(a, m_inv, when):
     assert f"at t={when}:" in str(exc)
 
 
+def test_nan_stage_gain_is_a_singular_gain():
+    # -inf in A: the second RK4 stage gain is +inf, which factors, and the
+    # third is NaN, whose NaN pivot fails like a negative one, before the
+    # gain at the next grid point turns non-finite
+    net = make_single_node_network(a=-np.inf)
+    exc = _run_failing(_failing_scenario(net, [np.zeros((1, 1))], [0.0]), SingularGain)
+    assert "at t=0.0005: stage gain of node 1 " in str(exc)
+
+
 def test_non_finite_timestamp():
     # unstable plant: x grows by ~e^0.5 per step and overflows
     net = make_single_node_network(a=500.0)
