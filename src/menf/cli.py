@@ -8,6 +8,7 @@ to the invocation directory; there is no environment-variable configuration.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shutil
 import sys
@@ -187,20 +188,32 @@ def _apply_overrides(doc: dict, args) -> dict:
 
 
 class _ExportCache:
-    """What the runs of one export share, kept so it is formatted once: the
-    t text of the last grid, and the directory whose gains_node*.csv hold
-    the last gain array written. The runs of a simulate_runs batch share
-    one t array and, per gain variant, one K array (the gains need no
-    data), so both are found by identity."""
+    """What the tables of one export share, kept so each text is formatted
+    once: the t text of the current grid, found by identity (the runs of a
+    simulate_runs batch share one t array), and every table written on that
+    grid, keyed by its header, shape and a blake2b digest of its values.
+    A table with the same key has the same bytes, so it is copied from the
+    first file instead of formatted again: the runs of one gain variant
+    share their gains, and seed-free signals such as pulses repeat across
+    seeds and channels."""
 
     def __init__(self):
         self.t = self.t_text = None
-        self.K = self.K_dir = None
+        self.written = {}
 
-    def t_column(self, t: np.ndarray) -> list[str]:
+    def write(self, path: Path, header: list[str], t: np.ndarray, table: np.ndarray) -> None:
+        """_write_csv of the table after the t column, or a copy of the
+        file that already holds the same table."""
         if t is not self.t:
-            self.t, self.t_text = t, _format_column(t)
-        return self.t_text
+            self.t, self.t_text, self.written = t, _format_column(t), {}
+        digest = hashlib.blake2b(np.ascontiguousarray(table)).digest()
+        key = (tuple(header), table.shape, digest)
+        first = self.written.get(key)
+        if first is None:
+            _write_csv(path, header, self.t_text, table)
+            self.written[key] = path
+        else:
+            shutil.copyfile(first, path)
 
 
 def _columns(name: str, k: int) -> list[str]:
@@ -239,18 +252,11 @@ def _export_run(
     """Write one run's CSV tables (_tables) and manifest.yaml into outdir;
     returns the scenario hash the manifest records.
 
-    Every table starts with the t column, whose text comes from the cache.
-    When an earlier run of the cache wrote the same gain array, its
-    gains_node*.csv are copied instead of formatted again."""
+    Every table goes through the cache, so a table that an earlier one
+    repeats is copied instead of formatted again."""
     outdir.mkdir(parents=True, exist_ok=True)
-    t_text = cache.t_column(traj.t)
-    gains_written = cache.K is traj.K
     for name, header, table in _tables(scenario.network, traj):
-        if gains_written and name.startswith("gains_"):
-            shutil.copyfile(cache.K_dir / name, outdir / name)
-        else:
-            _write_csv(outdir / name, header, t_text, table)
-    cache.K, cache.K_dir = traj.K, outdir
+        cache.write(outdir / name, header, traj.t, table)
     digest = document_hash(doc)
     manifest = {
         "scenario": doc,
@@ -440,12 +446,7 @@ def _export_seed(
     first = [float(np.max(np.abs(e[i][window, 0]))) for i in range(N)]
     inf = [float(np.max(np.abs(e[i][window]))) for i in range(N)]
     converged = all(v <= 1e-2 for v in inf)
-    _write_csv(
-        seed_dir / "errors_first_coord.csv",
-        _columns("e1_node", N),
-        cache.t_column(traj.t),
-        e[:, :, 0].T,
-    )
+    cache.write(seed_dir / "errors_first_coord.csv", _columns("e1_node", N), traj.t, e[:, :, 0].T)
     return run.seed, first, inf, converged, report.slack
 
 

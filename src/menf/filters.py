@@ -9,7 +9,8 @@ with y_i = C_i x + D_i v_i and c_ij = W_ij xhat_j + F_ij eps_ij. The engine
 steps it for all nodes at once, together with the plant dx/dt = A x + B w,
 on the stacked state z = [x; xhat_1; ...; xhat_N]: filter_field applies the
 constant stacked_operator of the network and adds the panel inputs of
-disturbance_term. The gains enter as cached inverses K_i^-1.
+disturbance_term, and state_step is its one RK4 step. The gains enter as
+cached inverses K_i^-1.
 
 error_inner is the same field written for the errors e_i = xhat_i - x, one
 node at a time. simulate_error_oracle integrates it with its own Cholesky
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import rk4_step
 from .model import Network
 
 
@@ -81,6 +83,14 @@ def filter_field(M: np.ndarray, z, K_inv, dx, dg) -> np.ndarray:
     innov = (y[:, m:] + dg).reshape(len(z), N, n, 1)
     dz[:, n:] += np.matmul(K_inv, innov).reshape(len(z), N * n, 1)
     return dz
+
+
+def state_step(M: np.ndarray, z, K_inv, dx, dg, dt: float, stages, out) -> None:
+    """One RK4 step of filter_field from the states z (S, n + Nn, 1), with
+    K_inv[s] the gain inverses of stage s and M, dx, dg as there: writes the
+    four stage states to stages, four arrays shaped like z, and the states
+    one step later to out."""
+    rk4_step(lambda s, zs: filter_field(M, zs, K_inv[s], dx, dg), z, dt, stages, out)
 
 
 def error_inner(net: Network, e, v, eps) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Small dense linear-algebra helpers used throughout the package.
+"""Small dense linear-algebra helpers used throughout the package, and its
+one classic RK4 step.
 
 Conventions: matrices are float64 numpy arrays; every algebraic assembly is
 re-symmetrized to suppress drift; definiteness is decided on the symmetrized
@@ -108,3 +109,36 @@ def trapezoid(values: np.ndarray, dt: float) -> float:
     if values.size < 2:
         return 0.0
     return float(dt * (values[0] * 0.5 + values[1:-1].sum() + values[-1] * 0.5))
+
+
+def rk4_step(field, y: np.ndarray, dt: float, stages, out: np.ndarray) -> None:
+    """One classic RK4 step of dy/dt = field(s, y_s) from y, in place.
+
+    field(s, y_s) returns a new array holding the derivative at stage
+    s = 0..3 of the step, evaluated at the stage input y_s; the step uses
+    it as scratch. The stage inputs y, y + dt/2 d1, y + dt/2 d2 and
+    y + dt d3 are written to stages, four arrays shaped like y (such as one
+    array (4,) + y.shape), and y + dt/6 (((d1 + 2 d2) + 2 d3) + d4) to out,
+    which may be y itself but must not overlap stages. Every value has the
+    bits of that expression evaluated out of place.
+    """
+    y1, y2, y3, y4 = stages
+    h2 = 0.5 * dt
+    np.copyto(y1, y)
+    d1 = field(0, y1)
+    np.multiply(d1, h2, y2)
+    y2 += y
+    d2 = field(1, y2)
+    np.multiply(d2, h2, y3)
+    y3 += y
+    d3 = field(2, y3)
+    np.multiply(d3, dt, y4)
+    y4 += y
+    d4 = field(3, y4)
+    d2 += d2  # 2 d2 exactly, as is d3 + d3
+    d2 += d1
+    d3 += d3
+    d2 += d3
+    d2 += d4
+    d2 *= dt / 6.0
+    np.add(y, d2, out)

@@ -5,16 +5,20 @@ The information-form gain K of a node evolves by
     dK/dt = S - K Q K - A^T K - K A,   S = C^T R^-1 C + sum_j W^T U^-1 W - M^-1
 
 with K(0) = gains.K0, Xcal by default. This module owns that equation:
-riccati_rhs is its one definition and gain_pass its one integrator,
-fixed-step classic RK4 over groups of gain equations, which both the
-coupled engine (sim.simulate_runs, all N nodes of every gain variant at
-once) and integrate_riccati (one gain) step chunk by chunk. The one other
-stepper of the gains is deliberate: sim.simulate_error_oracle steps them
-with its own RK4 loop, beside the errors, as the independent cross-check
-of the engine.
-Runs are bit-reproducible, the convergence-order check is meaningful, and
-the grid matches the coupled simulation. K is never inverted here; the
-engine inverts the stage gains of a chunk at once (sim._inverses).
+riccati_rhs is its one definition, evaluated as S - (H + H^T) with
+H = (K Q/2 + A^T) K, so that its value is exactly symmetric, and gain_step
+its one fixed-step classic RK4 step (linalg.rk4_step) on any stack of
+gains. gain_pass loops gain_step over a chunk of steps for groups of gain
+equations, which both the coupled engine (sim.simulate_runs, all N nodes
+of every gain variant at once) and integrate_riccati (one gain) call chunk
+by chunk. An exactly symmetric K0 thus gives exactly symmetric stage gains
+and grid gains with no re-symmetrization. The one other stepper of the
+gains is deliberate: sim.simulate_error_oracle steps them with its own RK4
+loop, beside the errors, as the independent cross-check of the engine.
+Runs are bit-reproducible, a gain has the same bits alone and in any
+stack, the convergence-order check is meaningful, and the grid matches the
+coupled simulation. K is never inverted here; the engine inverts the stage
+gains of a chunk at once (sim._inverses).
 
 The associated ARE  Z A^T + A Z - Z S Z + B B^T = 0  with
 S = C^T R^-1 C + [Delta]_ii - M^-1 (possibly indefinite) is solved for its
@@ -51,6 +55,7 @@ from .linalg import (
     frobenius_norms,
     require_spd,
     require_symmetric,
+    rk4_step,
     symmetrize,
 )
 from .model import GlobalMatrices, Network
@@ -84,9 +89,15 @@ class RiccatiCoefficients:
     comm_info: np.ndarray  # sum_j W^T U^-1 W
     m_inv: np.ndarray      # M^-1 (PSD; zero disables the attenuation penalty)
     S: np.ndarray = field(init=False)  # quadratic coefficient of the associated ARE
+    half_Q: np.ndarray = field(init=False)  # Q / 2, a factor of riccati_rhs
+    # A^T repeated to the shape of S: adding it to the stack of K Q/2 is then
+    # one contiguous elementwise pass, not a broadcast
+    At: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.S = symmetrize(self.obs_info + self.comm_info - self.m_inv)
+        self.half_Q = 0.5 * self.Q
+        self.At = np.ascontiguousarray(np.broadcast_to(self.A.T, self.S.shape))
 
     @classmethod
     def from_network(cls, net: Network, node_id: int, m_inv: np.ndarray):
@@ -148,10 +159,33 @@ class Prop1Report:
 def riccati_rhs(K: np.ndarray, coeffs: RiccatiCoefficients) -> np.ndarray:
     """Right-hand side of the gain equation for a gain or a stack (..., n, n).
 
-    Not symmetrized: gain_pass re-symmetrizes every accepted step instead.
+    Evaluated as S - (H + H^T) with H = (K Q/2 + A^T) K, which for a
+    symmetric K equals S - K Q K - A^T K - K A with one batched product.
+    The value is exactly symmetric for any K: entries (i, j) and (j, i)
+    add the same two numbers. K Q/2 is one 2-D product over the rows of
+    the whole stack; a gain still has the same bits alone and in any stack,
+    which test_riccati checks for n = 1..6.
     """
-    A = coeffs.A
-    return coeffs.S - K @ coeffs.Q @ K - A.T @ K - K @ A
+    n = K.shape[-1]
+    H = (K.reshape(-1, n) @ coeffs.half_Q).reshape(K.shape)
+    H += coeffs.At
+    H = H @ K
+    return coeffs.S - (H + H.swapaxes(-1, -2))
+
+
+def gain_step(
+    coeffs: RiccatiCoefficients,
+    K: np.ndarray,
+    dt: float,
+    stages: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """One RK4 step of the gain equation from the gains K, a gain or any
+    stack (..., n, n) the coefficients broadcast against: writes the four
+    stage gains to stages, shape (4,) + K.shape, and the gains one step
+    later to out, which may be K itself. Each is exactly symmetric when K
+    is."""
+    rk4_step(lambda s, Kc: riccati_rhs(Kc, coeffs), K, dt, stages, out)
 
 
 def chunk_steps(gains_shape) -> int:
@@ -167,37 +201,29 @@ def gain_pass(
     dt: float,
     t_grid: np.ndarray,
 ):
-    """RK4 steps k0..k1-1 of G groups of N gain equations from the gains Ks[:, :, k0].
+    """gain_step for steps k0..k1-1 of G groups of N gain equations from the
+    gains Ks[:, :, k0].
 
     Ks is (G, N, len(t_grid), n, n) and the coefficients broadcast against
     (G, N, n, n); a group is one gain system, such as the N nodes of one
-    network. Each accepted gain is re-symmetrized and written to
-    Ks[:, :, k + 1]. Returns the stage gains, shape (steps, 4, G, N, n, n) in
-    step order; each group's smallest eigenvalue of its finite accepted
-    gains, shape (G,) (None when there are none), from one batched eigvalsh;
-    and the first failure at a grid point as (step offset, 4, error, group),
-    or None. The 4 orders it after the four stages of its step; of the
-    groups failing at that grid point, the first is named. The error is
-    NonFinite when a gain turned non-finite, which ends the pass after that
-    step, or LostPositivity, carrying the group's smallest eigenvalue, when
-    a finite gain at an earlier grid point is not positive definite.
+    network. The gain after step k is written to Ks[:, :, k + 1]; it is not
+    re-symmetrized, as gains from an exactly symmetric Ks[:, :, k0] are
+    exactly symmetric already. Returns the stage gains, shape
+    (steps, 4, G, N, n, n) in step order; each group's smallest eigenvalue
+    of its finite accepted gains, shape (G,) (None when there are none),
+    from one batched eigvalsh; and the first failure at a grid point as
+    (step offset, 4, error, group), or None. The 4 orders it after the four
+    stages of its step; of the groups failing at that grid point, the first
+    is named. The error is NonFinite when a gain turned non-finite, which
+    ends the pass after that step, or LostPositivity, carrying the group's
+    smallest eigenvalue, when a finite gain at an earlier grid point is not
+    positive definite.
     """
-    h2, h6 = 0.5 * dt, dt / 6.0
-    K = Ks[:, :, k0]
+    K = Ks[:, :, k0].copy()  # stepped in place, contiguous
     stages = np.empty((k1 - k0, 4) + K.shape)
     done, failure = k1 - k0, None
     for k in range(k0, k1):
-        st = stages[k - k0]
-        st[0] = K
-        dK1 = riccati_rhs(K, coeffs)
-        st[1] = K + h2 * dK1
-        dK2 = riccati_rhs(st[1], coeffs)
-        st[2] = K + h2 * dK2
-        dK3 = riccati_rhs(st[2], coeffs)
-        st[3] = K + dt * dK3
-        dK4 = riccati_rhs(st[3], coeffs)
-        K = K + h6 * (dK1 + 2.0 * dK2 + 2.0 * dK3 + dK4)
-        K = 0.5 * (K + K.swapaxes(-1, -2))
+        gain_step(coeffs, K, dt, stages[k - k0], K)
         Ks[:, :, k + 1] = K
         if not np.isfinite(K).all():
             group = int(np.flatnonzero(~np.isfinite(K).all(axis=(1, 2, 3)))[0])

@@ -10,21 +10,24 @@ a run only through its gain variant, its set of gain coefficients and K0:
 the repeated seeds of a scenario are one variant, and an isolated copy of a
 network (make_isolated_variant) is another.
 
-1. Gain pass, once per chunk for the whole batch: riccati.gain_pass, the
-   package's one gain stepper, runs RK4 on the N gain equations of every
-   variant at once, stacked as (V, N, n, n), keeping the four stage gains
-   of every step of the chunk and guarding positivity at the chunk's grid
-   points with one batched eigvalsh. _inverses then factors every stage
+1. Gain pass, once per chunk for the whole batch: riccati.gain_pass loops
+   riccati.gain_step, the package's one gain step, over the chunk for the
+   N gain equations of every variant at once, stacked as (V, N, n, n). It
+   keeps the four stage gains of every step, each exactly symmetric with no
+   re-symmetrization, and guards positivity at the chunk's grid points
+   with one batched eigvalsh. _inverses then factors every stage
    gain of the chunk, K = L L^T, and gives K^-1 = X^T X with X = L^-1, by
    elementwise array passes over the whole stack rather than LAPACK calls
    per matrix; a pivot that is not > 0, NaN included, is SingularGain.
 2. State pass. The same steps for every run's z = [x; xhat_1; ...; xhat_N],
-   stacked as (S, m, 1), through filters.filter_field: every stage's
-   innovations are one mat-vec per run with the stacked operator of its
-   network plus a per-step disturbance term, and K^-1 comes from the
-   cached stage inverses of its variant, gathered per run. Each run's bits
-   are those of a run on its own. simulate and simulate_seeds are batches
-   of this engine.
+   stacked as (S, m, 1), through filters.state_step, the RK4 step of
+   filters.filter_field: every stage's innovations are one mat-vec per run
+   with the stacked operator of its network plus a per-step disturbance
+   term, and K^-1 comes from the cached stage inverses of its variant,
+   gathered per run. Each step writes its stage states into one buffer of
+   the chunk and its result straight into the chunk's states. Each run's
+   bits are those of a run on its own. simulate and simulate_seeds are
+   batches of this engine.
 
 A chunk holds riccati.CHUNK_BYTES (128 KB) of stage gains: enough to
 amortize the batched calls over tens to hundreds of steps, and small
@@ -79,7 +82,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularGain,
 )
-from .filters import disturbance_term, error_inner, filter_field, stacked_operator
+from .filters import disturbance_term, error_inner, stacked_operator, state_step
 from .linalg import definiteness_threshold, require_psd, require_spd, symmetrize
 from .model import Network, NodeModel, build_network
 from .riccati import RiccatiCoefficients, chunk_steps, gain_pass, riccati_rhs
@@ -228,7 +231,9 @@ class Scenario:
     dimension n, every disturbance on a channel of the network with a pulse
     amplitude that fits it and a hold of at least one step after snapping,
     N positive semidefinite n x n blocks of M^-1 and N positive definite
-    n x n blocks of K0. A failed check raises DimensionMismatch or
+    n x n blocks of K0. K0 is stored symmetrized: the gain equation keeps
+    an exactly symmetric K0 exactly symmetric, and nothing re-symmetrizes
+    the gains. A failed check raises DimensionMismatch or
     NotPositiveDefinite carrying the key path of the part ("sim",
     "sim.x0_law", "disturbances[k]", "gains.K0"); the M^-1 checks carry
     none, since those blocks may come from outside the scenario document.
@@ -286,11 +291,14 @@ class Scenario:
                     f"{name} must be {N} blocks of shape {(n, n)}, got shapes "
                     f"{[np.shape(b) for b in blocks]}"
                 ).at(key)
+            checked = []
             for i, b in enumerate(blocks, start=1):
                 try:
-                    require(b, f"{name}_{i}")
+                    checked.append(require(b, f"{name}_{i}"))
                 except (DimensionMismatch, NotPositiveDefinite) as exc:
                     raise exc.at(key)
+            if name == "K0":
+                self.K0_blocks = tuple(checked)
 
     @property
     def steps(self) -> int:
@@ -301,7 +309,7 @@ class Scenario:
 
     def gain_initial_blocks(self) -> tuple[np.ndarray, ...]:
         if self.K0_blocks is not None:
-            return tuple(np.asarray(b, dtype=float) for b in self.K0_blocks)
+            return self.K0_blocks
         return tuple(node.Xcal for node in self.network.nodes)
 
     def require_m_inv(self) -> tuple[np.ndarray, ...]:
@@ -468,11 +476,17 @@ _STAGE_OFFSETS = (0.0, 0.5, 0.5, 1.0)
 
 
 def _spd_solve_batched(K: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
-    """Solve K_i z_i = rhs_i for all nodes via batched Cholesky."""
+    """Solve K_i z_i = rhs_i for all nodes via batched Cholesky.
+
+    A pivot of the factor that is not > 0 is SingularGain, NaN included:
+    OpenBLAS's Cholesky lets a NaN pivot through.
+    """
     try:
         L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise SingularGain(f"at t={t:.6g}: {exc}") from exc
+    if not (np.diagonal(L, axis1=-2, axis2=-1) > 0.0).all():
+        raise SingularGain(f"at t={t:.6g}: Matrix is not positive definite")
     y = np.linalg.solve(L, rhs[:, :, None])
     return np.linalg.solve(np.transpose(L, (0, 2, 1)), y)[:, :, 0]
 
@@ -617,7 +631,7 @@ def simulate_runs(scenarios) -> list[Trajectories]:
     variants, first_run, run_variant = [], [], []
     for r, sc in enumerate(scenarios):
         own = RiccatiCoefficients.for_nodes(sc.network, sc.require_m_inv())
-        K0 = np.stack([np.asarray(b, dtype=float) for b in sc.gain_initial_blocks()])
+        K0 = np.stack(sc.gain_initial_blocks())
         v = keys.setdefault((own.S.tobytes(), K0.tobytes()), len(keys))
         if v == len(variants):
             variants.append((own, K0))
@@ -656,7 +670,6 @@ def simulate_runs(scenarios) -> list[Trajectories]:
         if r < live:
             live, V, failed = r, sum(f < r for f in first_run), error
 
-    h2, h6 = 0.5 * dt, dt / 6.0
     chunk = chunk_steps(Ks.shape[:2] + (n, n))
     # The disturbance term covers d_steps steps, a whole number of chunks;
     # a chunk never crosses the end of the block.
@@ -693,17 +706,14 @@ def simulate_runs(scenarios) -> list[Trajectories]:
         z, M = z[:live], M[:live]
         dxs, dgs = d[:, :live, :n], d[:, :live, n:]
         chunk_z = np.empty((end, live, m, 1))
+        z_stages = tuple(np.empty((4, live, m, 1)))  # views made once per chunk
         done = end
         for c in range(end):
             k = k0 + c
-            dx, dg = dxs[k - d_start], dgs[k - d_start]
-            s = 4 * c
-            dz1 = filter_field(M, z, K_inv[s], dx, dg)
-            dz2 = filter_field(M, z + h2 * dz1, K_inv[s + 1], dx, dg)
-            dz3 = filter_field(M, z + h2 * dz2, K_inv[s + 2], dx, dg)
-            dz4 = filter_field(M, z + dt * dz3, K_inv[s + 3], dx, dg)
-            z = z + h6 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
-            chunk_z[c] = z
+            z_next = chunk_z[c]
+            state_step(M, z, K_inv[4 * c:4 * c + 4], dxs[k - d_start], dgs[k - d_start],
+                       dt, z_stages, z_next)
+            z = z_next
             if not np.isfinite(z).all():
                 r = int(np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))[0])
                 cut(r, NonFinite(float(t_grid[k + 1])))
@@ -764,7 +774,7 @@ def simulate_error_oracle(
         e = np.asarray(e0, dtype=float).copy()
         if e.shape != (net.N, net.n):
             raise DimensionMismatch(f"e0 must have shape {(net.N, net.n)}, got {e.shape}")
-    K = np.stack([np.asarray(b, dtype=float) for b in scenario.gain_initial_blocks()])
+    K = np.stack(scenario.gain_initial_blocks())
 
     es = np.empty((net.N, steps + 1, net.n))
     es[:, 0] = e

@@ -77,7 +77,7 @@ def lhs_cost(traj: Trajectories, P: np.ndarray) -> float:
         raise DimensionMismatch(
             f"P must be {e.shape[1]}x{e.shape[1]}, got {P.shape}"
         )
-    quad = np.einsum("ti,ij,tj->t", e, P, e)
+    quad = np.einsum("ti,ti->t", e @ P, e)
     return trapezoid(quad, traj.dt)
 
 

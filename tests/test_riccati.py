@@ -26,6 +26,8 @@ from menf.riccati import (
     ARE_TOL_SCALE,
     IMAG_AXIS_TOL,
     _stable_schur,
+    gain_pass,
+    gain_step,
     stable_are_solution,
     stable_are_solutions,
 )
@@ -76,8 +78,8 @@ def test_rhs_scalar_fixed_point():
 
 
 def test_rk4_steps_preserve_symmetry():
-    # riccati_rhs is not exactly symmetric in floating point; every accepted
-    # step is re-symmetrized instead.
+    # riccati_rhs is exactly symmetric, S - (H + H^T), so the RK4 steps from
+    # a symmetric K0 stay exactly symmetric without re-symmetrization.
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
     Q = np.eye(4) * 0.5
@@ -88,6 +90,51 @@ def test_rk4_steps_preserve_symmetry():
     K = K @ K.T + np.eye(4)
     traj = integrate_riccati(coeffs, K, np.arange(0, 0.01 + 1e-12, 1e-3))
     assert np.array_equal(traj.K, np.swapaxes(traj.K, 1, 2))
+
+
+def _random_spd(rng, shape, n):
+    X = rng.standard_normal(shape + (n, n))
+    return symmetrize(X @ X.swapaxes(-1, -2) / n + np.eye(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    G=st.integers(1, 3),
+    N=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gain_steps_are_exactly_symmetric_and_the_same_alone_as_in_any_stack(n, G, N, seed):
+    # G groups of N gain equations with their own S, sharing A and Q
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    Q = _random_spd(rng, (), n) - np.eye(n)
+    parts = [_random_spd(rng, (G, N), n) for _ in range(3)]
+    coeffs = RiccatiCoefficients(A, Q, *parts)
+    K0 = _random_spd(rng, (G, N), n)
+    dK = riccati_rhs(K0, coeffs)
+    assert np.array_equal(dK, dK.swapaxes(-1, -2))
+
+    steps, dt = 3, 1e-3
+    t = np.arange(steps + 1) * dt
+    Ks = np.empty((G, N, steps + 1, n, n))
+    Ks[:, :, 0] = K0
+    stages, _, failure = gain_pass(coeffs, Ks, 0, steps, dt, t)
+    assert failure is None
+    assert np.array_equal(Ks, Ks.swapaxes(-1, -2))
+    assert np.array_equal(stages, stages.swapaxes(-1, -2))
+    for g in range(G):
+        for i in range(N):
+            alone = RiccatiCoefficients(A, Q, *(part[g, i] for part in parts))
+            K_alone = np.empty((1, 1, steps + 1, n, n))
+            K_alone[0, 0, 0] = K0[g, i]
+            stages_alone, _, _ = gain_pass(alone, K_alone, 0, steps, dt, t)
+            assert K_alone[0, 0].tobytes() == Ks[g, i].tobytes()
+            assert stages_alone[:, :, 0, 0].tobytes() == stages[:, :, g, i].tobytes()
+            step_stages, K1 = np.empty((4, n, n)), np.empty((n, n))
+            gain_step(alone, K0[g, i], dt, step_stages, K1)
+            assert K1.tobytes() == Ks[g, i, 1].tobytes()
+            assert step_stages.tobytes() == stages[0, :, g, i].tobytes()
 
 
 def test_rhs_chua_node3_vs_elementwise_oracle(chua_net, chua_tuning):

@@ -14,10 +14,12 @@ from menf import (
     MenfError,
     MissingTuning,
     NonFinite,
+    RiccatiCoefficients,
     Scenario,
     SingularGain,
     X0Law,
     check_hinf,
+    integrate_riccati,
     laplacian_P,
     make_isolated_variant,
     realize_disturbances,
@@ -68,6 +70,20 @@ def test_exact_tracking_without_disturbances():
     scenario = small_scenario(net, T=2.0, x0=common)
     traj = simulate(scenario)
     assert float(np.max(np.abs(traj.e))) <= 1e-9
+
+
+def test_k0_within_the_symmetry_tolerance_gives_exactly_symmetric_gains():
+    # Scenario stores K0 symmetrized, so every grid gain is exactly symmetric
+    # and the engine's gains are integrate_riccati's bit for bit
+    net = random_network(np.random.default_rng(0), 2, 2, ring=True)
+    K0 = np.array([[2.0, 0.1], [0.1 + 1e-13, 2.0]])
+    scenario = replace(small_scenario(net, T=0.2), K0_blocks=(K0, K0))
+    traj = simulate(scenario)
+    assert np.array_equal(traj.K, traj.K.swapaxes(-1, -2))
+    for i, m_inv in zip(net.node_ids(), scenario.require_m_inv()):
+        coeffs = RiccatiCoefficients.from_network(net, i, m_inv)
+        alone = integrate_riccati(coeffs, K0, scenario.t_grid())
+        assert alone.K.tobytes() == traj.K[i - 1].tobytes()
 
 
 def test_determinism_bit_identical(chua_tuning):
@@ -371,6 +387,17 @@ def test_nan_stage_gain_is_a_singular_gain():
     net = make_single_node_network(a=-np.inf)
     exc = _run_failing(_failing_scenario(net, [np.zeros((1, 1))], [0.0]), SingularGain)
     assert "at t=0.0005: stage gain of node 1 " in str(exc)
+
+
+def test_oracle_and_engine_fail_alike_on_a_nan_stage_gain():
+    # the set-up of test_nan_stage_gain_is_a_singular_gain: the oracle's own
+    # Cholesky solve must reject the NaN stage gain as the engine does
+    net = make_single_node_network(a=-np.inf)
+    scenario = _failing_scenario(net, [np.zeros((1, 1))], [0.0])
+    engine = _run_failing(scenario, SingularGain)
+    with np.errstate(all="ignore"), pytest.raises(SingularGain) as info:
+        simulate_error_oracle(scenario, realize_disturbances(scenario))
+    assert info.value.detail.split(":")[0] == engine.detail.split(":")[0] == "at t=0.0005"
 
 
 def test_non_finite_timestamp():
