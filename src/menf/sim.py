@@ -39,15 +39,13 @@ stores its states in its own array, and its grid samples are derived on
 first access.
 
 Failures keep the timestamps of a step-by-step integration, by one rule:
-a failure of run r ends run r and every run after it, and ends the chunk
-at the step where it happens. A run fails when its state turns non-finite
-or when its variant's gain fails: in step order, a stage factorization,
-then non-finite gains or lost positivity at the next grid point. The next
-chunk starts at that step with the runs before r and the first V variants,
-the ones they use, since variants are numbered in order of first use. So
-no run's state is stepped twice, only the gain steps after the failure in
-its chunk are stepped again for the variants that go on, and the batch
-raises the failure of its first failing run.
+a batch stops at its first failure in step order, of run r say, and
+raises it once the runs before r have been run again as a batch of their
+own, which raises first if one of them fails later. A run fails when its
+state turns non-finite or when its variant's gain fails: in step order, a
+stage factorization, then non-finite gains or lost positivity at the next
+grid point, where a non-finite state comes first. A batch that does not
+fail is stepped once; a failing one steps the runs before r again.
 
 Disturbances live on the integer step grid. realize_disturbances compiles
 each channel into one signal, a sum of parts: a pulse is one frame on the
@@ -159,7 +157,8 @@ class _Signal:
     A part (a, b, h, frames) carries frames[(k - a) // h] on the steps
     a <= k < b. At a grid point a <= k <= b it carries the value of the
     step after the point, and at b the value of its last step, so a
-    pulse's grid samples carry its amplitude at both edges.
+    pulse's grid samples carry its amplitude at both edges. A part with no
+    step on the horizon carries nothing, at grid points as on steps.
     """
 
     def __init__(self, dim: int):
@@ -181,7 +180,7 @@ class _Signal:
         out = np.zeros((steps + 1, self.dim))
         for a, b, h, frames in self.parts:
             lo, hi = max(a, 0), min(b, steps)
-            if lo <= hi:
+            if lo < hi:
                 idx = np.minimum((np.arange(lo, hi + 1) - a) // h, len(frames) - 1)
                 out[lo:hi + 1] += frames[idx]
         return out
@@ -539,11 +538,12 @@ def _inverses(K: np.ndarray):
 
 def _stage_inverses(stages: np.ndarray, k0: int, dt: float):
     """Inverses of every stage gain of a chunk, flattened to
-    (4 * steps, G, N, n, n) in step order.
+    (4 * steps, G, N, n, n) in step order, and the first stage failure.
 
-    When a stage gain is not positive definite, returns the inverses of the
-    stages before the first such stage together with (step offset, stage,
-    SingularGain, group), naming the first group failing at that stage.
+    The failure is None when every stage gain is positive definite, else
+    (step offset, stage, SingularGain, group), naming the first group
+    failing at the first such stage, and only the inverses of the stages
+    before it are returned: the state pass stops before that stage.
     """
     K_inv, failed = _inverses(stages.reshape((-1,) + stages.shape[2:]))
     where = np.argwhere(failed)
@@ -607,10 +607,11 @@ def simulate_runs(scenarios) -> list[Trajectories]:
     failure that an earlier run would meet during integration. Failures
     during integration raise what the sequential list would: the failure
     of the first run, in list order, that fails, with its own type and
-    timestamp. A failure of run r, its state turning non-finite or its
-    variant's gain failing, ends run r and every run after it at the step
-    where it happens; the runs before r go on from that step, so failed
-    runs emit no further numpy warnings and no run's state is stepped twice.
+    timestamp. The batch stops at its first failure in step order, of run
+    r, its state turning non-finite or its variant's gain failing; that is
+    run r's own failure. It then runs simulate_runs(scenarios[:r]), which
+    raises if a run before r fails later, and otherwise raises run r's
+    failure. So only a failing batch steps a run twice.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -624,23 +625,21 @@ def simulate_runs(scenarios) -> list[Trajectories]:
     t_grid = first.t_grid()
     reals = [realize_disturbances(sc) for sc in scenarios]
 
-    # Gain variants in order of first use, so the runs before a variant's
-    # first run use only the variants before it: the runs before run r use
-    # the first V variants, those with first_run[v] < r.
+    # Gain variants in order of first use; runs of one variant share its gains.
     keys: dict[tuple, int] = {}
-    variants, first_run, run_variant = [], [], []
-    for r, sc in enumerate(scenarios):
+    variants, run_variant = [], []
+    for sc in scenarios:
         own = RiccatiCoefficients.for_nodes(sc.network, sc.require_m_inv())
         K0 = np.stack(sc.gain_initial_blocks())
         v = keys.setdefault((own.S.tobytes(), K0.tobytes()), len(keys))
         if v == len(variants):
             variants.append((own, K0))
-            first_run.append(r)
         run_variant.append(v)
-    parts = {
-        part: np.stack([getattr(c, part) for c, _ in variants])
-        for part in ("obs_info", "comm_info", "m_inv")
-    }
+    coeffs = RiccatiCoefficients(
+        A=first.network.plant.A, Q=first.network.plant.Q,
+        **{part: np.stack([getattr(c, part) for c, _ in variants])
+           for part in ("obs_info", "comm_info", "m_inv")},
+    )
     Ks = np.empty((len(variants), N, steps + 1, n, n))
     Ks[:, :, 0] = np.stack([K0 for _, K0 in variants])
     # Scenario requires K0 positive definite, so t = 0 only sets the minimum.
@@ -658,56 +657,41 @@ def simulate_runs(scenarios) -> list[Trajectories]:
         zs_r[0, n:] = np.concatenate([node.xi for node in sc.network.nodes])
     z = np.stack([zs_r[0] for zs_r in zs])[..., None]
 
-    # The first `live` runs have not failed and use the first V variants;
-    # `failed` is the failure of run `live`, the first run that failed.
-    live, V, failed = len(scenarios), len(variants), None
-
-    def cut(r: int, error: Exception) -> None:
-        # Only an earlier run cuts again: run `live` and the runs after it
-        # failed at this step or before, so a later gain event of their
-        # variants must not step them again.
-        nonlocal live, V, failed
-        if r < live:
-            live, V, failed = r, sum(f < r for f in first_run), error
-
     chunk = chunk_steps(Ks.shape[:2] + (n, n))
     # The disturbance term covers d_steps steps, a whole number of chunks;
     # a chunk never crosses the end of the block.
     d_steps = chunk * max(1, DISTURBANCE_BYTES // (chunk * m * 8))
+    z_stages = tuple(np.empty((4,) + z.shape))
     k0 = d_start = d_end = 0
-    while k0 < steps and live:
+    while k0 < steps:
         if k0 == d_end:
             d_start, d_end = k0, min(k0 + d_steps, steps)
-            d = np.empty((d_end - d_start, live, m, 1))
+            d = np.empty((d_end - d_start, len(scenarios), m, 1))
             for d_s, sc, real in zip(np.moveaxis(d, 1, 0), scenarios, reals):
                 d_s[:, :, 0] = disturbance_term(sc.network, real, d_start, d_end)
+            dxs, dgs = d[:, :, :n], d[:, :, n:]
         # Pass 1: gains of the chunk, their grid guard and stage inverses.
-        # A failure is kept as (step offset, order within the step, error,
-        # variant); within a step, stage factorizations come first, then
-        # the grid point after it (non-finite, then positivity).
-        coeffs = RiccatiCoefficients(
-            A=first.network.plant.A, Q=first.network.plant.Q,
-            **{part: stack[:V] for part, stack in parts.items()},
-        )
+        # A gain failure is kept as (step offset, order within the step,
+        # error, variant); within a step, stage factorizations come first,
+        # then the grid point after it (non-finite, then positivity).
         stages, min_eigs, grid_failure = gain_pass(
-            coeffs, Ks[:V], k0, min(k0 + chunk, d_end), dt, t_grid
+            coeffs, Ks, k0, min(k0 + chunk, d_end), dt, t_grid
         )
         K_inv, stage_failure = _stage_inverses(stages, k0, dt)
         if min_eigs is not None:
-            min_gain_eig[:V] = np.minimum(min_gain_eig[:V], min_eigs)
+            np.minimum(min_gain_eig, min_eigs, out=min_gain_eig)
         events = [ev for ev in (stage_failure, grid_failure) if ev is not None]
         event = min(events, key=lambda ev: ev[:2], default=None)
         end = len(stages) if event is None else event[0] + (event[1] >= 4)
+        # (run, error) of the chunk's first failure in step order
+        failure = None if event is None else (run_variant.index(event[3]), event[2])
 
-        # Pass 2: every live run's plant and estimates through the same
-        # steps, each with the stage inverses of its variant, up to the
-        # first step after which a state is not finite.
-        K_inv = K_inv[:, run_variant[:live]]
-        z, M = z[:live], M[:live]
-        dxs, dgs = d[:, :live, :n], d[:, :live, n:]
-        chunk_z = np.empty((end, live, m, 1))
-        z_stages = tuple(np.empty((4, live, m, 1)))  # views made once per chunk
-        done = end
+        # Pass 2: every run's plant and estimates through the steps before
+        # the gain failure, each with the stage inverses of its variant. A
+        # state that turns non-finite fails first, also at the grid point
+        # of a gain failure.
+        K_inv = K_inv[:, run_variant]
+        chunk_z = np.empty((end, len(scenarios), m, 1))
         for c in range(end):
             k = k0 + c
             z_next = chunk_z[c]
@@ -716,18 +700,17 @@ def simulate_runs(scenarios) -> list[Trajectories]:
             z = z_next
             if not np.isfinite(z).all():
                 r = int(np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))[0])
-                cut(r, NonFinite(float(t_grid[k + 1])))
-                done = c + 1
+                failure = r, NonFinite(float(t_grid[k + 1]))
                 break
-        for r in range(live):
-            zs[r][k0 + 1:k0 + 1 + done] = chunk_z[:done, r, :, 0]
-        # A gain event past a state failure is met again by the next chunk
-        # if its variant is still integrated.
-        if event is not None and done == end:
-            cut(first_run[event[3]], event[2])
-        k0 += done
-    if failed is not None:
-        raise failed
+        if failure is not None:
+            # Run r failed first, so its failure is its own; a run before it
+            # may still fail later, and then the runs before r raise first.
+            r, error = failure
+            simulate_runs(scenarios[:r])
+            raise error
+        for zs_r, z_r in zip(zs, np.moveaxis(chunk_z, 1, 0)):
+            zs_r[k0 + 1:k0 + 1 + end] = z_r[..., 0]
+        k0 += end
 
     t_grid.flags.writeable = False
     Ks.flags.writeable = False
@@ -753,9 +736,7 @@ def simulate_runs(scenarios) -> list[Trajectories]:
 
 
 def simulate_error_oracle(
-    scenario: Scenario,
-    realization: RealizedDisturbances,
-    e0: np.ndarray | None = None,
+    scenario: Scenario, realization: RealizedDisturbances
 ) -> ErrorTrajectories:
     """Integrate the stacked error dynamics directly, re-using the realized
     disturbances of a prior run. Cross-validation only: the result must match
@@ -768,12 +749,7 @@ def simulate_error_oracle(
     steps = scenario.steps
     t_grid = scenario.t_grid()
 
-    if e0 is None:
-        e = np.stack([node.xi - realization.x0 for node in net.nodes])
-    else:
-        e = np.asarray(e0, dtype=float).copy()
-        if e.shape != (net.N, net.n):
-            raise DimensionMismatch(f"e0 must have shape {(net.N, net.n)}, got {e.shape}")
+    e = np.stack([node.xi - realization.x0 for node in net.nodes])
     K = np.stack(scenario.gain_initial_blocks())
 
     es = np.empty((net.N, steps + 1, net.n))

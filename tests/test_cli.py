@@ -152,6 +152,26 @@ def test_unstabilizable_plant_exit_code(tmp_path, capsys):
     assert "numerical failure: (A, B) not stabilizable: mode 1+0j" in err
     assert "Traceback" not in err
 
+
+# One unstable node whose M^-1 cancels C^T R^-1 C: its gain loses positive
+# definiteness at t = 0.277. Flow style, as the CI smoke step writes it.
+LOSES_POSITIVITY = (
+    "{plant: {A: [[50.0]], B: [[1.0]]}, "
+    "nodes: [{C: [[1.0]], D: [[1.0]], xi: [0.0], Xcal: [[1.0]]}], edges: [], "
+    "sim: {T: 1.0, dt: 0.001, seed: 0, x0_law: {kind: fixed, value: [0.0]}}, "
+    "tuning: {M_inv: [[[1.0]]]}}\n"
+)
+
+
+def test_failing_simulation_exits_3_without_output(tmp_path, capsys):
+    scen = write_small(tmp_path, LOSES_POSITIVITY)
+    out = tmp_path / "run"
+    assert main(["simulate", str(scen), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: gain lost positive definiteness at t=0.277" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
 def test_missing_tuning_exit_code(tmp_path):
     scen = write_small(tmp_path)
     assert main(["simulate", str(scen), "--out", str(tmp_path / "y")]) == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from menf import sim
 from menf import (
     DimensionMismatch,
     DisturbanceSpec,
@@ -169,6 +170,23 @@ def test_l2_accounting_pulse_exact():
     assert energy == pytest.approx(4.0 * 0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "start, duration",
+    [(1.0, 0.5), (0.3, 0.0), (-0.5, 0.5)],
+    ids=["starts-at-T", "no-duration", "ends-at-0"],
+)
+def test_a_pulse_with_no_step_on_the_horizon_has_no_grid_samples(start, duration):
+    # no step carries it, so its energy is 0 and no grid sample carries it
+    net = make_single_node_network()
+    spec = DisturbanceSpec(
+        kind="pulse", target="w", amplitude=2.0, start=start, duration=duration
+    )
+    scenario = small_scenario(net, disturbances=(spec,))
+    signal = realize_disturbances(scenario).w
+    assert signal.energy(scenario.steps, scenario.dt) == 0.0
+    assert not signal.samples(scenario.steps).any()
+
+
 def test_held_gaussian_is_square_integrable_and_held():
     net = make_single_node_network()
     spec = DisturbanceSpec(
@@ -254,11 +272,17 @@ def test_a_node_or_edge_on_a_target_that_takes_none_is_rejected():
 
 
 def test_error_oracle_trivial_zero():
-    net = make_two_node_network(n=2, seed=4)
+    from menf import NodeModel, build_network
+
+    base = make_two_node_network(n=2, seed=4)
+    nodes = [
+        NodeModel(C=node.C, D=node.D, xi=np.zeros(2), Xcal=node.Xcal, links=dict(node.links))
+        for node in base.nodes
+    ]
+    net = build_network(base.plant, nodes, base.edges)
     scenario = small_scenario(net, T=1.0, x0=np.zeros(2))
-    real = realize_disturbances(scenario)
-    out = simulate_error_oracle(scenario, real, e0=np.zeros((2, 2)))
-    # no disturbances and e(0)=0: stays identically zero
+    out = simulate_error_oracle(scenario, realize_disturbances(scenario))
+    # no disturbances and xi_i = x0, so e(0) = 0: stays identically zero
     assert float(np.max(np.abs(out.e))) <= 1e-14
 
 
@@ -575,7 +599,8 @@ def test_simulate_seeds_raises_first_failing_seed_in_list_order():
                 simulate_seeds(scenario, seeds)
         assert info.value.t == expected.t
         assert info.value.t == _sequential_failure(scenario, seeds)[0].t
-        # a failed seed is dropped from the stack, so it warns no further
+        # the batch stops at the first overflow, so the failed seed warns no
+        # further, and only the seed before it is run again
         assert len(caught) <= late_warnings + early_warnings
 
 
@@ -695,10 +720,11 @@ def _variant_failure_batches():
         "D-C": ([d, c], LostPositivity),
         "C-D": ([c, d], LostPositivity),
         "D-C-D": ([d, c, replace(d, seed=2)], LostPositivity),
-        # F's failure cuts the batch before C's, and C's cuts it again
+        # F fails first, so D and C run again, and C's failure stops that
+        # batch, which runs D once more
         "D-C-F": ([d, c, f], LostPositivity),
         "D-F-C": ([d, f, c], SingularGain),
-        # H's gain event must not step G again after G's state failed
+        # G's state and H's gain fail at the same grid point: G's comes first
         "G-H": ([g, h], NonFinite),
     }
 
@@ -706,8 +732,8 @@ def _variant_failure_batches():
 @pytest.mark.parametrize("name", list(_variant_failure_batches()))
 def test_simulate_runs_variant_gain_failure_matches_sequential_runs(name):
     """A batch raises what the first failing run would raise on its own:
-    a gain variant's failure ends its own runs and the runs after them,
-    while earlier runs of other variants continue on their own gains."""
+    it stops at its first failure, a state's or a gain variant's, and runs
+    again only the runs before the one that failed."""
     batch, kind = _variant_failure_batches()[name]
     expected = _sequential_failure_of(batch)
     assert type(expected) is kind
@@ -716,6 +742,51 @@ def test_simulate_runs_variant_gain_failure_matches_sequential_runs(name):
     assert str(info.value) == str(expected)
     for attr in ("t", "min_eigenvalue"):
         assert getattr(info.value, attr, None) == getattr(expected, attr, None)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_simulate_runs_raises_what_the_sequential_runs_raise(data):
+    """The failure rule over more batches: 2 to 4 runs drawn from one
+    grid-compatible group of the scenarios above, {A, B}, {C, D, F} or
+    {G, H}, each with a fresh seed."""
+    batches = _variant_failure_batches()
+    group = data.draw(st.sampled_from([batches[name][0] for name in ("A-B", "D-C-F", "G-H")]))
+    members = data.draw(st.lists(st.sampled_from(group), min_size=2, max_size=4))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(members),
+                               max_size=len(members)))
+    batch = [replace(sc, seed=s) for sc, s in zip(members, seeds)]
+    try:
+        expected = _sequential_failure_of(batch)
+    except AssertionError:
+        reject()  # only D drawn: no run fails
+    with np.errstate(all="ignore"), pytest.raises(type(expected)) as info:
+        simulate_runs(batch)
+    assert str(info.value) == str(expected)
+    for attr in ("t", "min_eigenvalue"):
+        assert getattr(info.value, attr, None) == getattr(expected, attr, None)
+
+
+def test_a_failing_batch_runs_again_only_the_runs_before_its_first_failure(monkeypatch):
+    # the early seed overflows first: first in the batch, nothing runs again;
+    # second, the late seed before it runs again, and fails on its own
+    scenario = _blow_up_scenario()
+    x0 = {s: abs(realize_disturbances(replace(scenario, seed=s)).x0[0]) for s in range(40)}
+    late, early = min(x0, key=x0.get), max(x0, key=x0.get)
+    engine, calls = sim.simulate_runs, []
+
+    def recorder(scenarios):
+        scenarios = list(scenarios)
+        if scenarios:  # an empty batch runs nothing
+            calls.append([sc.seed for sc in scenarios])
+        return engine(scenarios)
+
+    monkeypatch.setattr(sim, "simulate_runs", recorder)
+    for seeds, again in (([early, late], []), ([late, early], [[late]])):
+        calls.clear()
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            sim.simulate_runs([replace(scenario, seed=s) for s in seeds])
+        assert calls == [seeds] + again
 
 
 def test_simulate_runs_raises_configuration_errors_before_any_run():
