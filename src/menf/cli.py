@@ -223,8 +223,8 @@ def _columns(name: str, k: int) -> list[str]:
 def _tables(net, traj: Trajectories):
     """The one list of a run's CSV tables, in export order: (file name,
     header, values), values being the (steps+1, k) table after the t
-    column. Export writes every table; verify checks the disturbance_*
-    tables against the samples realized from the manifest."""
+    column. Export writes every table; verify reads them back through this
+    same list (_load_trajectories)."""
     n = net.n
     yield "state.csv", _columns("x", n), traj.x
     for i in net.node_ids():
@@ -324,7 +324,6 @@ def _load_manifest(traj_dir: Path):
     scenario = document_to_scenario(
         doc,
         m_inv_blocks=[np.array(b) for b in manifest["m_inv"]],
-        minv_margin=hypotheses.get("minv_margin"),
         m_inv_source=f"{source}: m_inv",
     )
     if _seed(manifest.get("seed", scenario.seed), f"{source}: seed") != scenario.seed:
@@ -335,44 +334,37 @@ def _load_manifest(traj_dir: Path):
 
 
 def _load_trajectories(traj_dir: Path, scenario) -> Trajectories:
+    """The run of traj_dir, read back through _tables on the manifest's
+    scenario: every table read must lie on scenario.t_grid(). The state
+    and estimate tables fill the run; each disturbance table must equal the
+    samples realized from the manifest's scenario and seed (the 17-digit
+    export round-trips exactly). The gains and errors tables are not read,
+    so K stays zero."""
     net = scenario.network
-    n = net.n
-    state = _read_csv(traj_dir / "state.csv", 1 + n)
-    t = state[:, 0]
-    if not np.array_equal(t, scenario.t_grid()):
-        raise ScenarioFormatError(
-            "time grid differs from the manifest's scenario", str(traj_dir / "state.csv")
-        )
-    steps1 = len(t)
-    xhat = np.empty((net.N, steps1, n))
-    for i in net.node_ids():
-        est = _read_csv(traj_dir / f"estimates_node{i}.csv", 1 + n)
-        if est.shape[0] != steps1:
-            raise ScenarioFormatError(
-                f"estimates_node{i}.csv has {est.shape[0]} rows, expected {steps1}",
-                str(traj_dir),
-            )
-        xhat[i - 1] = est[:, 1:]
+    t = scenario.t_grid()
     traj = Trajectories(
         t=t,
-        x=state[:, 1:],
-        xhat=xhat,
-        K=np.zeros((net.N, steps1, n, n)),
+        x=np.empty((len(t), net.n)),
+        xhat=np.empty((net.N, len(t), net.n)),
+        K=np.zeros((net.N, len(t), net.n, net.n)),
         realization=realize_disturbances(scenario),
         network=net,
     )
-    # The grid samples of every disturbance table must equal those realized
-    # from the manifest's scenario and seed (the 17-digit export round-trips
-    # exactly).
-    for name, _, realized in _tables(net, traj):
-        if name.startswith("disturbance_"):
-            path = traj_dir / name
-            if not np.array_equal(_read_csv(path, 1 + realized.shape[1])[:, 1:], realized):
-                raise ScenarioFormatError(
-                    "samples differ from the disturbances realized from the "
-                    "manifest's scenario and seed",
-                    str(path),
-                )
+    for name, header, values in _tables(net, traj):
+        if name.startswith(("gains_", "errors_")):
+            continue
+        path = traj_dir / name
+        data = _read_csv(path, len(header))
+        if not np.array_equal(data[:, 0], t):
+            raise ScenarioFormatError("time grid differs from the manifest's scenario", str(path))
+        if not name.startswith("disturbance_"):
+            values[...] = data[:, 1:]
+        elif not np.array_equal(data[:, 1:], values):
+            raise ScenarioFormatError(
+                "samples differ from the disturbances realized from the "
+                "manifest's scenario and seed",
+                str(path),
+            )
     return traj
 
 
@@ -389,23 +381,7 @@ def _cmd_verify(args) -> int:
     lines = report.lines()
     (traj_dir / "hinf_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (traj_dir / "hinf_report.json").write_text(
-        json.dumps(
-            {
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-                "slack": report.slack,
-                "budget": {
-                    "init": report.breakdown.init,
-                    "model": report.breakdown.model,
-                    "measurement": report.breakdown.measurement,
-                    "communication": report.breakdown.communication,
-                },
-                "hypotheses": report.hypotheses,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+        json.dumps(report.record(), indent=2) + "\n", encoding="utf-8"
     )
     for line in lines:
         print(line)

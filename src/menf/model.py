@@ -3,9 +3,12 @@
 A Network couples one linear plant with N sensing nodes over a directed
 graph: edge (i, j) means node j sends its estimate to node i, and the
 neighborhood of i is N_i = {j : (i, j) in edges}. Node ids are 1-based in
-every interface. All derived matrices (Q, R_i, S_ij, U_ij and the stacked
-Delta, DeltaTilde, Ltilde) are computed once at construction and the
-arrays are frozen, so instances are safe to share across threads.
+every interface. The per-part derived matrices (Q, R_i, S_ij, U_ij and
+their products with C_i and W_ij) are computed once at construction and
+the arrays are frozen, so instances are safe to share across threads. The
+stacked Delta, DeltaTilde and Ltilde are not cached: assemble_global builds
+them on each call, and Network.delta_block and delta_tilde_block sum their
+block on each call.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class NodeModel:
 
 @dataclass
 class Network:
-    """Immutable plant + nodes + directed edges with cached derived matrices."""
+    """Immutable plant + nodes + directed edges and each node's neighbors."""
 
     plant: PlantModel
     nodes: tuple[NodeModel, ...]
@@ -199,8 +202,8 @@ class GlobalMatrices:
 
 
 def build_network(plant: PlantModel, nodes, edges) -> Network:
-    """Validate topology and dimensions, returning a Network with all derived
-    matrices cached.
+    """Validate topology and dimensions, returning a Network. The stacked
+    matrices are not built here: assemble_global builds them per call.
 
     Raises SelfLoop, DimensionMismatch or NotPositiveDefinite (definiteness is
     already enforced by the model constructors; this adds the cross checks

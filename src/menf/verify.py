@@ -21,7 +21,7 @@ the right side is fully realized on [0, T].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,19 +54,28 @@ class HinfReport:
     breakdown: BudgetBreakdown
     hypotheses: dict = field(default_factory=dict)
 
+    def record(self) -> dict:
+        """The report as hinf_report.json holds it."""
+        return {
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "slack": self.slack,
+            "budget": asdict(self.breakdown),
+            "hypotheses": self.hypotheses,
+        }
+
     def lines(self) -> list[str]:
-        out = [
-            f"lhs = {self.lhs:.17g}",
-            f"rhs = {self.rhs:.17g}",
-            f"slack = {self.slack:.17g}",
-            f"budget.init = {self.breakdown.init:.17g}",
-            f"budget.model = {self.breakdown.model:.17g}",
-            f"budget.measurement = {self.breakdown.measurement:.17g}",
-            f"budget.communication = {self.breakdown.communication:.17g}",
-        ]
-        for key, value in sorted(self.hypotheses.items()):
-            out.append(f"hypotheses.{key} = {value}")
-        return out
+        """The text form of record(), as hinf_report.txt holds it: one
+        `key = value` line per entry, nested keys joined by a dot, each
+        number "%.17g" and the hypotheses sorted by name."""
+        record = self.record()
+        hypotheses = record.pop("hypotheses")
+        budget = record.pop("budget")
+        return (
+            [f"{key} = {value:.17g}" for key, value in record.items()]
+            + [f"budget.{key} = {value:.17g}" for key, value in budget.items()]
+            + [f"hypotheses.{key} = {value}" for key, value in sorted(hypotheses.items())]
+        )
 
 
 def lhs_cost(traj: Trajectories, P: np.ndarray) -> float:

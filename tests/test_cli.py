@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import json
 import shutil
 
 import numpy as np
@@ -288,6 +289,62 @@ def test_verify_from_disk_equals_in_memory_report(tmp_path):
     ] + [(disk["budget"][k], getattr(memory.breakdown, k)) for k in disk["budget"]]
     for a, b in pairs:
         assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300)
+
+
+def test_text_and_json_reports_are_one_record_equal_to_the_in_memory_report(tmp_path):
+    scen, tuned, out = tune_and_simulate(tmp_path, HELD_AND_PULSE)
+    assert main(["verify", str(out)]) == 0
+    text = (out / "hinf_report.json").read_text()
+    record = json.loads(text)
+    # hinf_report.txt: the JSON's entries in its key order, nested keys
+    # joined by a dot, the same numbers and hypotheses.
+    flat = []
+    for key, value in record.items():
+        if isinstance(value, dict):
+            flat += [(f"{key}.{sub}", v) for sub, v in value.items()]
+        else:
+            flat.append((key, value))
+    lines = [line.split(" = ") for line in (out / "hinf_report.txt").read_text().splitlines()]
+    assert [key for key, _ in lines] == [key for key, _ in flat]
+    for (key, got), (_, value) in zip(lines, flat):
+        if key.startswith("hypotheses."):
+            assert got == str(value)
+        else:
+            assert float(got) == value
+
+    doc = load_document(str(scen))
+    m_inv, margin = load_tuned_m(tuned)
+    scenario = document_to_scenario(doc, m_inv_blocks=m_inv, minv_margin=margin)
+    memory = check_hinf(scenario, simulate(scenario), tuning_P_from_document(doc, scenario.network))
+    # The manifest stores the hypotheses sorted by key.
+    memory.hypotheses = dict(sorted(memory.hypotheses.items()))
+    assert text == json.dumps(memory.record(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    [
+        ("state.csv", 6),
+        ("estimates_node1.csv", 6),
+        ("disturbance_w.csv", 6),
+        ("estimates_node2.csv", None),  # the last row missing
+    ],
+)
+def test_verify_rejects_a_table_off_the_manifest_grid(tmp_path, capsys, name, row):
+    _, _, out = tune_and_simulate(tmp_path)
+    path = out / name
+    lines = path.read_text().splitlines()
+    if row is None:
+        del lines[-1]
+    else:
+        cols = lines[row].split(",")
+        cols[0] = "123.0"  # the values of the row stay as they are
+        lines[row] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "time grid" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
