@@ -56,7 +56,7 @@ from .sim import (
     simulate,
     simulate_runs,
 )
-from .tuning import tune_scalar
+from .tuning import DECAY_FLOORS, tune_scalar
 from .verify import check_hinf
 
 EXIT_OK = 0
@@ -165,6 +165,12 @@ def _cmd_tune(args) -> int:
     print(f"stacked-condition margin: {result.minv_margin:.6g}")
     print(f"uniform-scalar lower bound mu_lo: {result.mu_lo_uniform:.6g}")
     print(f"per-node M^-1 levels: {[round(m, 6) for m in result.mu_profile]}")
+    print(
+        f"search: decay floor {result.decay_floor:g} "
+        f"(rung {DECAY_FLOORS.index(result.decay_floor) + 1} of {len(DECAY_FLOORS)}), "
+        f"{result.certificates_made} node certificates, "
+        f"{result.margins_evaluated} stacked margins"
+    )
     for cert in result.node_certificates:
         print(
             f"node {cert.node_id}: LMI margin {cert.lmi_margin:.3e}, "

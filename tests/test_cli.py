@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menf import check_hinf, simulate
+from menf import check_hinf, simulate, tune_scalar
 from menf import cli
 from menf.cli import _fmt, _format_column, _write_csv, main
 from menf.scenario_io import (
@@ -21,7 +21,9 @@ from menf.scenario_io import (
     load_tuned_m,
     parse_document,
     tuning_P_from_document,
+    tuning_result_to_document,
 )
+from menf.tuning import DECAY_FLOORS
 
 SMALL = """
 plant: {A: [[-1.0, 0.3], [0.0, -2.0]], B: [[0.5, 0.0], [0.0, 0.5]]}
@@ -105,6 +107,28 @@ def test_simulate_deterministic_bytes(tmp_path):
         ]) == 0
     for name in ("state.csv", "estimates_node1.csv", "gains_node2.csv", "disturbance_w.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_tune_prints_the_search_line(tmp_path, capsys):
+    # the decay-floor rung and what the search cost are printed, and
+    # tuned.yaml stays the document of the result's own fields
+    scen = write_small(tmp_path)
+    tuned = tmp_path / "tuned.yaml"
+    capsys.readouterr()
+    assert main(["tune", str(scen), "--out", str(tuned)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = load_document(str(scen))
+    net = document_to_scenario(doc).network
+    result = tune_scalar(net, tuning_P_from_document(doc, net))
+    rung = DECAY_FLOORS.index(result.decay_floor) + 1
+    assert result.certificates_made > 0 and result.margins_evaluated > 0
+    assert lines[4] == (
+        f"search: decay floor {result.decay_floor:g} (rung {rung} of {len(DECAY_FLOORS)}), "
+        f"{result.certificates_made} node certificates, "
+        f"{result.margins_evaluated} stacked margins"
+    )
+    assert len(lines) == 5 + net.N
+    assert tuned.read_text(encoding="utf-8") == dump_document(tuning_result_to_document(result))
 
 
 def test_dt_override_changes_hash(tmp_path):

@@ -29,6 +29,8 @@ from menf.tuning import (
     WITNESS_THETAS,
     _node_caps,
     _NodeProblems,
+    _require_P,
+    _stacked_margin,
 )
 
 from conftest import make_single_node_network, random_network
@@ -360,10 +362,10 @@ def _reference_cap(plant, node, delta_ii, floor):
 def _assert_caps_match_reference(net):
     plant = net.plant
     problems = _NodeProblems(plant, net.nodes, [net.delta_block(i) for i in net.node_ids()])
-    caps = {floor: _node_caps(problems, floor) for floor in DECAY_FLOORS[:3]}
+    caps = {floor: _node_caps(problems, floor) for floor in DECAY_FLOORS}
     for i in net.node_ids():
         node, delta_ii = net.node(i), net.delta_block(i)
-        for floor in DECAY_FLOORS[:3]:
+        for floor in DECAY_FLOORS:
             cap, probes = _reference_cap(plant, node, delta_ii, floor)
             assert caps[floor][i - 1] == cap
             # the decisions that fix the cap: both ends and the final bracket
@@ -387,6 +389,90 @@ def test_node_cap_equals_the_bisection_over_node_feasible(N, n, seed):
 
 def test_node_cap_equals_the_bisection_over_node_feasible_chua(chua_net):
     _assert_caps_match_reference(chua_net)
+
+
+def _reference_level(net, P, caps):
+    """tune_scalar's shared level on the given caps by the plain bisection
+    loop, one stacked margin per midpoint: the reference the replayed
+    bisection must reproduce bit for bit."""
+    gm = assemble_global(net)
+    P = _require_P(gm, P)
+    eye = np.eye(net.n)
+
+    mu_lo_uniform = float(
+        np.linalg.eigvalsh(symmetrize(P - gm.Ltilde - gm.Ltilde.T + gm.DeltaTilde))[-1]
+    )
+
+    def profile_margin(mu_vec: np.ndarray) -> float:
+        return _stacked_margin(gm, P, mu_vec[:, None, None] * eye)
+
+    caps = np.asarray(caps)
+    max_margin = profile_margin(caps)
+
+    # Smallest shared level reaching half the best margin (monotone in t).
+    target = 0.5 * max_margin
+    t_floor = 1e-9 * (1.0 + abs(mu_lo_uniform))
+    lo, hi = t_floor, float(caps.max())
+    if profile_margin(np.minimum(lo, caps)) >= target:
+        hi = lo
+    while hi - lo > BISECT_RTOL * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if profile_margin(np.minimum(mid, caps)) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _assert_profile_matches_reference(net, P, tuning):
+    """The tuned profile is min(level, cap_i) of the plain bisections, bit
+    for bit, at the decay floor the tune chose."""
+    caps = [
+        _reference_cap(net.plant, net.node(i), net.delta_block(i), tuning.decay_floor)[0]
+        for i in net.node_ids()
+    ]
+    level = _reference_level(net, P, caps)
+    assert tuning.mu_profile == tuple(float(m) for m in np.minimum(level, caps))
+
+
+@settings(max_examples=15, deadline=None)
+@given(N=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_tuned_profile_equals_the_plain_bisections(N, n, seed):
+    net = random_network(np.random.default_rng(seed), N, n)
+    P = laplacian_P(net, np.eye(n), 0.01)
+    try:
+        tuning = tune_scalar(net, P)
+    except (Infeasible, NotStabilizable):
+        return
+    _assert_profile_matches_reference(net, P, tuning)
+
+
+def test_tuned_profile_equals_the_plain_bisections_chua(chua_net, chua_P, chua_tuning):
+    _assert_profile_matches_reference(chua_net, chua_P, chua_tuning)
+
+
+def test_tune_scalar_chua_certifies_fewer_problems_than_the_plain_bisections(
+    chua_net, chua_P, monkeypatch
+):
+    # the plain bisections certified 162 node problems and evaluated 24
+    # stacked margins on Chua
+    counts = {"certificates": 0, "margins": 0}
+    certify, margin = menf.tuning._certify_nodes, menf.tuning._stacked_margin
+
+    def counted_certify(problems, nodes, *args):
+        counts["certificates"] += len(nodes)
+        return certify(problems, nodes, *args)
+
+    def counted_margin(*args):
+        counts["margins"] += 1
+        return margin(*args)
+
+    monkeypatch.setattr(menf.tuning, "_certify_nodes", counted_certify)
+    monkeypatch.setattr(menf.tuning, "_stacked_margin", counted_margin)
+    result = tune_scalar(chua_net, chua_P)
+    assert counts["certificates"] <= 110 and counts["margins"] <= 16
+    assert result.certificates_made == counts["certificates"]
+    assert result.margins_evaluated == counts["margins"]
 
 
 def _unstabilizable_network():
