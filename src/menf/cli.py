@@ -34,10 +34,13 @@ from .errors import (
 )
 from .scenario_io import (
     _blocks,
-    _check_mapping,
+    _flag,
+    _keys,
     _number,
     _safe_load,
     _seed,
+    _unchecked,
+    _walk,
     bundled_chua_text,
     document_hash,
     document_to_scenario,
@@ -195,23 +198,20 @@ def _apply_overrides(doc: dict, args) -> dict:
 
 class _ExportCache:
     """What the tables of one export share, kept so each text is formatted
-    once: the t text of the current grid, found by identity (the runs of a
-    simulate_runs batch share one t array), and every table written on that
-    grid, keyed by its header, shape and a blake2b digest of its values.
-    A table with the same key has the same bytes, so it is copied from the
-    first file instead of formatted again: the runs of one gain variant
-    share their gains, and seed-free signals such as pulses repeat across
-    seeds and channels."""
+    once: the t text of its grid (the runs of a simulate_runs batch share
+    one t), and every table written, keyed by its header, shape and a
+    blake2b digest of its values. A table with the same key has the same
+    bytes, so it is copied from the first file instead of formatted again:
+    the runs of one gain variant share their gains, and seed-free signals
+    such as pulses repeat across seeds and channels."""
 
-    def __init__(self):
-        self.t = self.t_text = None
+    def __init__(self, t: np.ndarray):
+        self.t_text = _format_column(t)
         self.written = {}
 
-    def write(self, path: Path, header: list[str], t: np.ndarray, table: np.ndarray) -> None:
+    def write(self, path: Path, header: list[str], table: np.ndarray) -> None:
         """_write_csv of the table after the t column, or a copy of the
         file that already holds the same table."""
-        if t is not self.t:
-            self.t, self.t_text, self.written = t, _format_column(t), {}
         digest = hashlib.blake2b(np.ascontiguousarray(table)).digest()
         key = (tuple(header), table.shape, digest)
         first = self.written.get(key)
@@ -262,7 +262,7 @@ def _export_run(
     repeats is copied instead of formatted again."""
     outdir.mkdir(parents=True, exist_ok=True)
     for name, header, table in _tables(scenario.network, traj):
-        cache.write(outdir / name, header, traj.t, table)
+        cache.write(outdir / name, header, table)
     digest = document_hash(doc)
     manifest = {
         "scenario": doc,
@@ -292,7 +292,7 @@ def _cmd_simulate(args) -> int:
     else:
         scenario = document_to_scenario(doc)
     traj = simulate(scenario)
-    digest = _export_run(Path(args.out), doc, scenario, traj, _ExportCache())
+    digest = _export_run(Path(args.out), doc, scenario, traj, _ExportCache(traj.t))
     final_e = float(np.max(np.abs(traj.e[:, -1, :])))
     print(f"run complete: {len(traj.t) - 1} steps, final max |e| = {final_e:.6g}")
     print(f"outputs in {args.out} (scenario sha256 {digest[:16]}...)")
@@ -303,8 +303,15 @@ def _cmd_simulate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_MANIFEST_KEYS = ("scenario", "scenario_sha256", "seed", "version", "m_inv", "hypotheses")
-_HYPOTHESIS_KEYS = ("minv_margin", "gains_positive_definite", "min_gain_eigenvalue")
+# A run's manifest.yaml. Its scenario is checked as any scenario document,
+# then against the seed and hash recorded beside it.
+_HYPOTHESES = {
+    "minv_margin": _number, "gains_positive_definite": _flag, "min_gain_eigenvalue": _number,
+}
+_MANIFEST = {
+    "scenario": validate_document, "scenario_sha256": _unchecked, "seed": _seed,
+    "version": _unchecked, "m_inv": _blocks, "hypotheses": _keys(_HYPOTHESES),
+}
 
 
 def _load_manifest(traj_dir: Path):
@@ -315,24 +322,14 @@ def _load_manifest(traj_dir: Path):
         raise ScenarioFormatError("manifest.yaml not found", str(traj_dir))
     source = str(manifest_path)
     manifest = _safe_load(manifest_path.read_text(encoding="utf-8"), source)
-    _check_mapping(manifest, _MANIFEST_KEYS, ("scenario", "m_inv"), source)
-    _blocks(manifest["m_inv"], f"{source}: m_inv")
-    where = f"{source}: hypotheses"
-    hypotheses = _check_mapping(manifest.get("hypotheses", {}), _HYPOTHESIS_KEYS, (), where)
-    for key in ("minv_margin", "min_gain_eigenvalue"):
-        if key in hypotheses:
-            _number(hypotheses[key], f"{where}.{key}")
-    if not isinstance(hypotheses.get("gains_positive_definite", False), bool):
-        raise ScenarioFormatError("expected true or false", f"{where}.gains_positive_definite")
-    # Revalidate the embedded document before trusting it, then the
-    # record of its seed and hash against it.
-    doc = validate_document(manifest["scenario"], source=source)
+    _walk(manifest, source, _MANIFEST, ("scenario", "m_inv"), prefix=f"{source}: ")
+    doc = manifest["scenario"]
     scenario = document_to_scenario(
         doc,
         m_inv_blocks=[np.array(b) for b in manifest["m_inv"]],
         m_inv_source=f"{source}: m_inv",
     )
-    if _seed(manifest.get("seed", scenario.seed), f"{source}: seed") != scenario.seed:
+    if manifest.get("seed", scenario.seed) != scenario.seed:
         raise ScenarioFormatError(f"differs from sim.seed {scenario.seed}", f"{source}: seed")
     if "scenario_sha256" in manifest and manifest["scenario_sha256"] != document_hash(doc):
         raise ScenarioFormatError("differs from the scenario's hash", f"{source}: scenario_sha256")
@@ -428,7 +425,7 @@ def _export_seed(
     first = [float(np.max(np.abs(e[i][window, 0]))) for i in range(N)]
     inf = [float(np.max(np.abs(e[i][window]))) for i in range(N)]
     converged = all(v <= 1e-2 for v in inf)
-    cache.write(seed_dir / "errors_first_coord.csv", _columns("e1_node", N), traj.t, e[:, :, 0].T)
+    cache.write(seed_dir / "errors_first_coord.csv", _columns("e1_node", N), e[:, :, 0].T)
     return run.seed, first, inf, converged, report.slack
 
 
@@ -455,7 +452,7 @@ def _reproduce_group(out: Path, doc: dict, P: np.ndarray, scenario, seeds) -> tu
     # Every run is released once used, so that only one run's disturbance
     # samples are held at a time.
     del trajs[len(runs):]
-    cache = _ExportCache()
+    cache = _ExportCache(trajs[0].t)
     records = [_export_seed(out, doc, P, run, trajs.pop(0), cache) for run in runs]
     return records, iso_maxima
 
@@ -500,23 +497,15 @@ def _cmd_reproduce_chua(args) -> int:
     rows = []
     for (seed, first, inf, converged, slack), iso_max in zip(records, iso_maxima):
         ratio = iso_max / max(inf[0], 1e-300)
-        rows.append([seed, *first, *inf, converged, slack, iso_max, ratio])
+        rows.append([*first, *inf, converged, slack, iso_max, ratio])
         print(
             f"seed {seed}: max|e|_inf[T-1,T] = {max(inf):.3e}, converged={converged}, "
             f"slack = {slack:.4g}, isolation ratio = {ratio:.3g}"
         )
 
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    str(int(v)) if isinstance(v, bool) else
-                    (str(v) if isinstance(v, int) else _fmt(v))
-                    for v in row
-                )
-                + "\n"
-            )
+    # the seed column as integers, converged as 1 or 0
+    seeds = [str(record[0]) for record in records]
+    _write_csv(out / "summary.csv", header, seeds, np.array(rows, dtype=float))
     print(f"summary written to {out / 'summary.csv'}")
     return EXIT_OK
 

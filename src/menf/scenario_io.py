@@ -20,16 +20,22 @@ One human-writable document describes a complete experiment:
       | {M: [block, ...]} | {M_inv: [block, ...]}
     gains:    {K0: [block, ...]}             # optional, defaults to Xcal
 
-validate_document checks the document's shape: unknown keys are rejected
-everywhere with the offending path, matrices must be rectangular, numbers
-finite (and non-negative or positive where a sign makes no sense), seeds
-integers, and the tuning section names one mode. Every rule about what the
-values mean lives in the model constructor that consumes them;
-document_to_network and document_to_scenario build each object through
-_build, which reports a failed rule at the object's key path. Floats
-round-trip exactly through the canonical dump (shortest-repr YAML floats),
-so reloading a re-serialized scenario rebuilds all derived matrices
-bit-identically.
+Each mapping is declared once, as a table {key: check} beside its required
+keys; _walk checks a mapping against its table. A disturbance and an x0 law
+take the keys of their kind alone (pulse: amplitude, start, duration;
+held_gaussian: mean, std, hold, seed; zero: none; fixed: value; gaussian:
+mean, std, seed), and scenario_to_document writes those same keys. The
+tuned file (load_tuned_m) and a run's manifest (cli) are tables too.
+
+validate_document checks the document's shape: a key outside its table is
+rejected at its path, matrices must be rectangular, numbers finite (and
+non-negative or positive where a sign makes no sense), seeds integers, an
+override names an edge once, and the tuning section names one mode. Every
+rule about what the values mean lives in the model constructor that
+consumes them; document_to_network and document_to_scenario build each
+object through _build, which reports a failed rule at the object's key
+path. Floats round-trip exactly through the canonical dump, so reloading a
+re-serialized scenario rebuilds all derived matrices bit-identically.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import numpy as np
 import yaml
 
 from .errors import DimensionMismatch, NotPositiveDefinite, ScenarioFormatError, SelfLoop
+from .linalg import require_psd
 from .model import Network, NeighborLink, NodeModel, PlantModel, build_network
 from .sim import DisturbanceSpec, Scenario, X0Law
 from .tuning import TuningResult, laplacian_P
@@ -111,33 +118,119 @@ def _seed(value, location: str) -> int:
     return value
 
 
-def _blocks(value, location: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise _fail("expected a list of blocks", location)
-    return [_matrix(blk, f"{location}[{b}]") for b, blk in enumerate(value)]
-
-
 def _edge(value, location: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise _fail("edge must be a pair [i, j]", location)
     return (_integer(value[0], location), _integer(value[1], location))
 
 
+def _positive(value, location: str) -> float:
+    return _number(value, location, 0.0, strict=True)
+
+
+def _non_negative(value, location: str) -> float:
+    return _number(value, location, 0.0)
+
+
+def _amplitude(value, location: str):
+    """A pulse amplitude: one number, or one per component."""
+    return _vector(value, location) if isinstance(value, list) else _number(value, location)
+
+
+def _flag(value, location: str) -> bool:
+    if not isinstance(value, bool):
+        raise _fail("expected true or false", location)
+    return value
+
+
+def _unchecked(value, location: str):
+    """A value whose rules live in the constructor that reads it."""
+    return value
+
+
+def _walk(value, location: str, table: dict, required=(), prefix: str | None = None) -> dict:
+    """Check a mapping against its table {key: check}: no key outside the
+    table and every required key present, then check(value, path) of each
+    key present, path being prefix + key (location + "." by default)."""
+    _check_mapping(value, table, required, location)
+    prefix = f"{location}." if prefix is None else prefix
+    for key, check in table.items():
+        if key in value:
+            check(value[key], prefix + key)
+    return value
+
+
+def _keys(table: dict, required=()):
+    """The check of a mapping declared by its table and its required keys."""
+    return lambda value, location: _walk(value, location, table, required)
+
+
+def _list_of(check, what: str = "a list", first: int = 0, nonempty: bool = False):
+    """The check of a list, each item checked at location[k], k counting
+    from first."""
+    def check_list(value, location):
+        if not isinstance(value, list) or (nonempty and not value):
+            raise _fail(f"expected {what}", location)
+        for k, item in enumerate(value, start=first):
+            check(item, f"{location}[{k}]")
+        return value
+    return check_list
+
+
+_blocks = _list_of(_matrix, "a list of blocks", nonempty=True)
+
+
+def _kind_table(value, common: dict, kinds: dict) -> dict:
+    """The table of a mapping with a kind: common's keys and its kind's. An
+    unknown kind takes every kind's keys, so that its constructor names it."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    own = kinds.get(kind) if isinstance(kind, str) else None
+    if own is None:
+        own = {key: check for table in kinds.values() for key, check in table.items()}
+    return {**common, **own}
+
+
+def _of_kind(common: dict, kinds: dict, required=("kind",)):
+    """The check of a mapping with a kind: _walk over its _kind_table."""
+    return lambda value, at: _walk(value, at, _kind_table(value, common, kinds), required)
+
+
+# The tables of a scenario document; a disturbance or an x0 law takes the
+# keys common to every kind and those of its kind's table.
+_MATRICES = {"W": _matrix, "F": _matrix, "Z": _matrix}
+_NODE = {"C": _matrix, "D": _matrix, "xi": _vector, "Xcal": _matrix}
+_DISTURBANCE = {"kind": _unchecked, "target": _unchecked, "node": _integer, "edge": _edge}
+_DISTURBANCE_KINDS = {
+    "pulse": {"amplitude": _amplitude, "start": _number, "duration": _non_negative},
+    "held_gaussian": {"mean": _number, "std": _non_negative, "hold": _positive, "seed": _seed},
+    "zero": {},
+}
+_X0_LAW = {"kind": _unchecked}
+_X0_LAWS = {
+    "fixed": {"value": _vector},
+    "gaussian": {"mean": _number, "std": _non_negative, "seed": _seed},
+}
+_SIM = {"T": _positive, "dt": _positive, "seed": _seed, "x0_law": _of_kind(_X0_LAW, _X0_LAWS)}
+_LINKS = {
+    "defaults": _keys(_MATRICES, tuple(_MATRICES)),
+    "overrides": _list_of(_keys({"edge": _edge, **_MATRICES}, ("edge",))),
+}
+_TUNING = {"P0": _matrix, "ridge": _number, "P": _matrix, "M": _blocks, "M_inv": _blocks}
+_DOCUMENT = {
+    "plant": _keys({"A": _matrix, "B": _matrix}, ("A", "B")),
+    "nodes": _list_of(_keys(_NODE, tuple(_NODE)), "a non-empty list", first=1, nonempty=True),
+    "edges": _list_of(_edge, "a list of pairs"),
+    "links": _keys(_LINKS),
+    "sim": _keys(_SIM, tuple(_SIM)),
+    "disturbances": _list_of(_of_kind(_DISTURBANCE, _DISTURBANCE_KINDS, ("kind", "target"))),
+    "tuning": _keys(_TUNING),
+    "gains": _keys({"K0": _blocks}, ("K0",)),
+}
+
+
 # ---------------------------------------------------------------------------
 # Document loading / validation
 # ---------------------------------------------------------------------------
-
-_TOP_KEYS = ("plant", "nodes", "edges", "links", "sim", "disturbances", "tuning", "gains")
-_DIST_KEYS = (
-    "kind", "target", "node", "edge", "amplitude", "start", "duration",
-    "mean", "std", "hold", "seed",
-)
-# (key, lower bound or None, bound is strict) of a disturbance's numbers
-_DIST_NUMBERS = (
-    ("start", None, False), ("duration", 0.0, False), ("mean", None, False),
-    ("std", 0.0, False), ("hold", 0.0, True),
-)
-
 
 # libyaml's parser when PyYAML was built with it, the same documents faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -167,108 +260,27 @@ def validate_document(raw, source: str = "<string>") -> dict:
     ScenarioFormatError with the key path of the first bad value."""
     if raw is None:
         raise _fail("empty document", source)
-    doc = _check_mapping(raw, _TOP_KEYS, ("plant", "nodes", "edges", "sim"), source)
-
-    plant = _check_mapping(doc["plant"], ("A", "B"), ("A", "B"), "plant")
-    _matrix(plant["A"], "plant.A")
-    _matrix(plant["B"], "plant.B")
-
-    if not isinstance(doc["nodes"], list) or not doc["nodes"]:
-        raise _fail("nodes must be a non-empty list", "nodes")
-    for k, node in enumerate(doc["nodes"], start=1):
-        node = _check_mapping(
-            node, ("C", "D", "xi", "Xcal"), ("C", "D", "xi", "Xcal"), f"nodes[{k}]"
-        )
-        _matrix(node["C"], f"nodes[{k}].C")
-        _matrix(node["D"], f"nodes[{k}].D")
-        _vector(node["xi"], f"nodes[{k}].xi")
-        _matrix(node["Xcal"], f"nodes[{k}].Xcal")
-
-    if not isinstance(doc["edges"], list):
-        raise _fail("edges must be a list of pairs", "edges")
-    for k, e in enumerate(doc["edges"]):
-        _edge(e, f"edges[{k}]")
-
-    if "links" in doc:
-        links = _check_mapping(doc["links"], ("defaults", "overrides"), (), "links")
-        if "defaults" in links:
-            d = _check_mapping(
-                links["defaults"], ("W", "F", "Z"), ("W", "F", "Z"), "links.defaults"
-            )
-            for key in ("W", "F", "Z"):
-                _matrix(d[key], f"links.defaults.{key}")
-        for k, ov in enumerate(links.get("overrides", [])):
-            ov = _check_mapping(
-                ov, ("edge", "W", "F", "Z"), ("edge",), f"links.overrides[{k}]"
-            )
-            edge = _edge(ov["edge"], f"links.overrides[{k}].edge")
-            if edge not in {tuple(e) for e in doc["edges"]}:
-                raise _fail(
-                    f"edge {list(edge)} is not in edges", f"links.overrides[{k}].edge"
-                )
-            for key in ("W", "F", "Z"):
-                if key in ov:
-                    _matrix(ov[key], f"links.overrides[{k}].{key}")
-    elif doc["edges"]:
+    doc = _walk(raw, source, _DOCUMENT, ("plant", "nodes", "edges", "sim"), prefix="")
+    edges = {tuple(e) for e in doc["edges"]}
+    if edges and "links" not in doc:
         raise _fail("edges present but no links section", "links")
-
-    sim = _check_mapping(
-        doc["sim"], ("T", "dt", "seed", "x0_law"), ("T", "dt", "seed", "x0_law"), "sim"
-    )
-    _number(sim["T"], "sim.T", 0.0, strict=True)
-    _number(sim["dt"], "sim.dt", 0.0, strict=True)
-    _seed(sim["seed"], "sim.seed")
-    law = _check_mapping(
-        sim["x0_law"], ("kind", "value", "mean", "std", "seed"), ("kind",), "sim.x0_law"
-    )
-    if "value" in law:
-        _vector(law["value"], "sim.x0_law.value")
-    _number(law.get("mean", 0.0), "sim.x0_law.mean")
-    _number(law.get("std", 0.0), "sim.x0_law.std", 0.0)
-    if "seed" in law:
-        _seed(law["seed"], "sim.x0_law.seed")
-
-    for k, spec in enumerate(doc.get("disturbances", [])):
-        spec = _check_mapping(spec, _DIST_KEYS, ("kind", "target"), f"disturbances[{k}]")
-        if "edge" in spec:
-            _edge(spec["edge"], f"disturbances[{k}].edge")
-        where = f"disturbances[{k}]."
-        if isinstance(spec.get("amplitude"), list):
-            _vector(spec["amplitude"], where + "amplitude")
-        elif "amplitude" in spec:
-            _number(spec["amplitude"], where + "amplitude")
-        for key, low, strict in _DIST_NUMBERS:
-            if key in spec:
-                _number(spec[key], where + key, low, strict)
-        if "node" in spec:
-            _integer(spec["node"], where + "node")
-        if "seed" in spec:
-            _seed(spec["seed"], where + "seed")
-
-    if "tuning" in doc:
-        tuning = _check_mapping(
-            doc["tuning"], ("P0", "ridge", "P", "M", "M_inv"), (), "tuning"
-        )
-        modes = [k for k in ("P0", "P", "M", "M_inv") if k in tuning]
-        if len(modes) != 1:
+    first = {}
+    for k, ov in enumerate(doc.get("links", {}).get("overrides", [])):
+        edge, where = tuple(ov["edge"]), f"links.overrides[{k}].edge"
+        if edge not in edges:
+            raise _fail(f"edge {list(edge)} is not in edges", where)
+        if edge in first:
             raise _fail(
-                f"tuning must specify exactly one of P0/P/M/M_inv, got {modes}", "tuning"
+                f"edge {list(edge)} is overridden already by links.overrides[{first[edge]}]",
+                where,
             )
-        if "P0" in tuning:
-            _matrix(tuning["P0"], "tuning.P0")
-            _number(tuning.get("ridge", 0.0), "tuning.ridge")
-        elif "ridge" in tuning:
-            raise _fail("ridge only applies together with P0", "tuning.ridge")
-        if "P" in tuning:
-            _matrix(tuning["P"], "tuning.P")
-        for key in ("M", "M_inv"):
-            if key in tuning:
-                _blocks(tuning[key], f"tuning.{key}")
-
-    if "gains" in doc:
-        gains = _check_mapping(doc["gains"], ("K0",), ("K0",), "gains")
-        _blocks(gains["K0"], "gains.K0")
-
+        first[edge] = k
+    tuning = doc.get("tuning", {})
+    modes = [k for k in ("P0", "P", "M", "M_inv") if k in tuning]
+    if "tuning" in doc and len(modes) != 1:
+        raise _fail(f"tuning must specify exactly one of P0/P/M/M_inv, got {modes}", "tuning")
+    if "ridge" in tuning and "P0" not in tuning:
+        raise _fail("ridge only applies together with P0", "tuning.ridge")
     return doc
 
 
@@ -307,7 +319,7 @@ def document_to_network(doc: dict) -> Network:
     def link_for(edge) -> NeighborLink:
         k, ov = overrides.get(edge, (None, {}))
         parts = {}
-        for key in ("W", "F", "Z"):
+        for key in _MATRICES:
             if key in ov:
                 parts[key] = np.array(ov[key])
             elif defaults is not None:
@@ -323,17 +335,8 @@ def document_to_network(doc: dict) -> Network:
     nodes = []
     for idx, nd in enumerate(doc["nodes"], start=1):
         links = {j: link_for((i, j)) for (i, j) in edges if i == idx}
-        nodes.append(
-            _build(
-                f"nodes[{idx}]",
-                NodeModel,
-                C=np.array(nd["C"]),
-                D=np.array(nd["D"]),
-                xi=np.array(nd["xi"]),
-                Xcal=np.array(nd["Xcal"]),
-                links=links,
-            )
-        )
+        arrays = {key: np.array(nd[key]) for key in _NODE}
+        nodes.append(_build(f"nodes[{idx}]", NodeModel, links=links, **arrays))
     return _build("edges", build_network, plant=plant, nodes=nodes, edges=edges)
 
 
@@ -353,23 +356,13 @@ def document_to_scenario(
     net = document_to_network(doc)
     sim = doc["sim"]
     law_doc = sim["x0_law"]
-    law = _build(
-        "sim.x0_law",
-        X0Law,
-        kind=law_doc["kind"],
-        value=law_doc.get("value"),
-        mean=float(law_doc.get("mean", 0.0)),
-        std=float(law_doc.get("std", 0.0)),
-        seed=law_doc.get("seed"),
+    # mean and std stored as floats: scenario_to_document writes what is stored
+    floats = {key: float(law_doc[key]) for key in ("mean", "std") if key in law_doc}
+    law = _build("sim.x0_law", X0Law, **{**law_doc, **floats})
+    specs = tuple(
+        _build(f"disturbances[{k}]", DisturbanceSpec, **sd)
+        for k, sd in enumerate(doc.get("disturbances", []))
     )
-    specs = []
-    for k, sd in enumerate(doc.get("disturbances", [])):
-        kwargs = dict(sd)
-        if "edge" in kwargs:
-            kwargs["edge"] = tuple(kwargs["edge"])
-        if "amplitude" in kwargs and isinstance(kwargs["amplitude"], list):
-            kwargs["amplitude"] = np.array(kwargs["amplitude"], dtype=float)
-        specs.append(_build(f"disturbances[{k}]", DisturbanceSpec, **kwargs))
 
     # Where the M^-1 blocks came from; Scenario's own checks name every other part.
     m_key = m_inv_source
@@ -393,7 +386,7 @@ def document_to_scenario(
         dt=float(sim["dt"]),
         seed=int(sim["seed"]),
         x0_law=law,
-        disturbances=tuple(specs),
+        disturbances=specs,
         m_inv_blocks=None if m_inv_blocks is None else tuple(
             np.asarray(b, dtype=float) for b in m_inv_blocks
         ),
@@ -403,22 +396,23 @@ def document_to_scenario(
 
 
 def tuning_P_from_document(doc: dict, net: Network, P_file=None) -> np.ndarray:
-    """The weighting P of a run, checked to be nN x nN.
+    """The weighting P of a run, checked to be nN x nN, symmetric and
+    positive semidefinite.
 
     Read from P_file when given, a YAML mapping {P: matrix}; else from the
     document's tuning section: its P, or laplacian_P(P0, ridge). A document
     with neither (a run tuned by M or M_inv, or by a tuned file) falls back
     to laplacian_P(I, ridge=0.01), the weighting of the built-in Chua
-    experiment.
+    experiment. A bad P is reported at "<P_file>: P", "tuning.P" or
+    "tuning.P0".
     """
     if P_file is not None:
         with open(P_file, "r", encoding="utf-8") as fh:
             raw = _safe_load(fh.read(), str(P_file))
-        tuning = _check_mapping(raw, ("P",), ("P",), str(P_file))
-        _matrix(tuning["P"], f"{P_file}: P")
+        tuning = _walk(raw, str(P_file), {"P": _matrix}, ("P",), prefix=f"{P_file}: ")
+        where = f"{P_file}: P"
     else:
-        tuning = doc.get("tuning", {})
-    where = str(P_file) if P_file is not None else "tuning.P"
+        tuning, where = doc.get("tuning", {}), "tuning.P"
     if "P" in tuning:
         P = np.array(tuning["P"], dtype=float)
     elif "P0" in tuning:
@@ -435,6 +429,7 @@ def tuning_P_from_document(doc: dict, net: Network, P_file=None) -> np.ndarray:
     size = net.n * net.N
     if P.shape != (size, size):
         raise _fail(f"P must be {size}x{size}, got {P.shape}", where)
+    _build(where, require_psd, x=P, name="P")
     return P
 
 
@@ -446,70 +441,46 @@ def _listify(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+# How a value of each check is written back; any other value as it is.
+_WRITTEN_AS = {_edge: list, _vector: _listify, _amplitude: _listify}
+
+
+def _kind_document(obj, common: dict, kinds: dict) -> dict:
+    """The document of a disturbance or an x0 law: each key of common and of
+    its kind's table that it sets."""
+    doc = {}
+    for key, check in _kind_table({"kind": obj.kind}, common, kinds).items():
+        value = getattr(obj, key)
+        if value is not None:
+            doc[key] = _WRITTEN_AS[check](value) if check in _WRITTEN_AS else value
+    return doc
+
+
 def scenario_to_document(scenario: Scenario, include_m: bool = True) -> dict:
     """Re-serialize a Scenario into the document schema."""
     net = scenario.network
     doc: dict = {
         "plant": {"A": _listify(net.plant.A), "B": _listify(net.plant.B)},
-        "nodes": [
-            {
-                "C": _listify(node.C),
-                "D": _listify(node.D),
-                "xi": _listify(node.xi),
-                "Xcal": _listify(node.Xcal),
-            }
-            for node in net.nodes
-        ],
+        "nodes": [{key: _listify(getattr(node, key)) for key in _NODE} for node in net.nodes],
         "edges": [[i, j] for (i, j) in net.edges],
     }
     if net.edges:
         doc["links"] = {
             "overrides": [
-                {
-                    "edge": [i, j],
-                    "W": _listify(net.link(i, j).W),
-                    "F": _listify(net.link(i, j).F),
-                    "Z": _listify(net.link(i, j).Z),
-                }
+                {"edge": [i, j], **{k: _listify(getattr(net.link(i, j), k)) for k in _MATRICES}}
                 for (i, j) in net.edges
             ]
         }
-    law = scenario.x0_law
-    law_doc = {"kind": law.kind}
-    if law.kind == "fixed":
-        law_doc["value"] = _listify(law.value)
-    else:
-        law_doc["mean"] = law.mean
-        law_doc["std"] = law.std
-        if law.seed is not None:
-            law_doc["seed"] = law.seed
     doc["sim"] = {
         "T": scenario.T,
         "dt": scenario.dt,
         "seed": scenario.seed,
-        "x0_law": law_doc,
+        "x0_law": _kind_document(scenario.x0_law, _X0_LAW, _X0_LAWS),
     }
     if scenario.disturbances:
-        specs = []
-        for s in scenario.disturbances:
-            sd: dict = {"kind": s.kind, "target": s.target}
-            if s.node is not None:
-                sd["node"] = s.node
-            if s.edge is not None:
-                sd["edge"] = list(s.edge)
-            if s.kind == "pulse":
-                amp = np.asarray(s.amplitude, dtype=float)
-                sd["amplitude"] = amp.tolist() if amp.ndim else float(amp)
-                sd["start"] = s.start
-                sd["duration"] = s.duration
-            if s.kind == "held_gaussian":
-                sd["mean"] = s.mean
-                sd["std"] = s.std
-                sd["hold"] = s.hold
-                if s.seed is not None:
-                    sd["seed"] = s.seed
-            specs.append(sd)
-        doc["disturbances"] = specs
+        doc["disturbances"] = [
+            _kind_document(s, _DISTURBANCE, _DISTURBANCE_KINDS) for s in scenario.disturbances
+        ]
     if include_m and scenario.m_inv_blocks is not None:
         doc["tuning"] = {"M_inv": [_listify(b) for b in scenario.m_inv_blocks]}
     if scenario.K0_blocks is not None:
@@ -551,14 +522,12 @@ def tuning_result_to_document(result: TuningResult) -> dict:
     return {"tuned": doc}
 
 
-# (key, one entry per node, lower bound or None, bound is strict) of a
-# tuned file's optional numbers
-_TUNED_OPTIONAL = (
-    ("node_lmi_margins", True, None, False), ("closed_loop_abscissas", True, None, False),
-    ("mu_profile", True, 0.0, True), ("mu_lo_uniform", False, None, False),
-    ("decay_floor", False, 0.0, False),
-)
-_TUNED_KEYS = ("M_inv", "minv_margin") + tuple(key for key, *_ in _TUNED_OPTIONAL)
+# A tuned file's section. Each list but M_inv holds one number per M_inv block.
+_TUNED = {
+    "M_inv": _blocks, "minv_margin": _number, "node_lmi_margins": _list_of(_number),
+    "closed_loop_abscissas": _list_of(_number), "mu_profile": _list_of(_positive),
+    "mu_lo_uniform": _number, "decay_floor": _non_negative,
+}
 
 
 def load_tuned_m(path) -> tuple[tuple[np.ndarray, ...], float]:
@@ -569,19 +538,15 @@ def load_tuned_m(path) -> tuple[tuple[np.ndarray, ...], float]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = _safe_load(fh.read(), str(path))
-    tuned = _check_mapping(raw, ("tuned",), ("tuned",), str(path))["tuned"]
-    where = f"{path}: tuned"
-    _check_mapping(tuned, _TUNED_KEYS, ("M_inv", "minv_margin"), where)
-    blocks = _blocks(tuned["M_inv"], f"{where}.M_inv")
-    margin = _number(tuned["minv_margin"], f"{where}.minv_margin")
-    for key, per_node, low, strict in (k for k in _TUNED_OPTIONAL if k[0] in tuned):
-        at = f"{where}.{key}"
-        values = _vector(tuned[key], at) if per_node else [tuned[key]]
-        if per_node and len(values) != len(blocks):
-            raise _fail(f"expected {len(blocks)} numbers, one per M_inv block", at)
-        for value in values:
-            _number(value, at, low, strict)
-    return tuple(np.array(b) for b in blocks), margin
+    tuned_file = {"tuned": _keys(_TUNED, ("M_inv", "minv_margin"))}
+    tuned = _walk(raw, str(path), tuned_file, ("tuned",), prefix=f"{path}: ")["tuned"]
+    blocks = tuned["M_inv"]
+    for key, value in tuned.items():
+        if key != "M_inv" and isinstance(value, list) and len(value) != len(blocks):
+            raise _fail(
+                f"expected {len(blocks)} numbers, one per M_inv block", f"{path}: tuned.{key}"
+            )
+    return tuple(np.array(b, dtype=float) for b in blocks), float(tuned["minv_margin"])
 
 
 def bundled_chua_text() -> str:

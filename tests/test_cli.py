@@ -498,6 +498,12 @@ tuning: {M_inv: [[[0.01]]]}
 """
 LINKS = "links: {defaults: {W: [[1.0]], F: [[0.5]], Z: [[0.1]]}}"
 TUNE_P0 = "{P0: [[1.0]], ridge: 0.01}"
+# ONE_NODE with a second node, each node sending to the other: its P is 2 x 2.
+TWO_NODES = ONE_NODE.replace(
+    "edges: []",
+    "  - {C: [[1.0]], D: [[0.5]], xi: [0.0], Xcal: [[1.0]]}\nedges: [[1, 2], [2, 1]]\n" + LINKS,
+).replace("{M_inv: [[[0.01]]]}", "{M_inv: [[[0.01]], [[0.01]]]}")
+ASYMMETRIC_P = "[[1.0, 0.5], [0.0, 1.0]]"
 
 
 @pytest.mark.parametrize(
@@ -627,6 +633,48 @@ TUNE_P0 = "{P0: [[1.0]], ridge: 0.01}"
             "{M_inv: [[[0.01]]]}", "{P0: [[1.0, 0.0], [0.0, 1.0]]}", ["tune"], "tuning.P0",
             id="P0-size-tune",
         ),
+        # A key that its kind does not read.
+        *[
+            pytest.param(old, new, [], where, id=f"ignored-{name}")
+            for old, new, where, name in [
+                ("amplitude: 1.0", "amplitude: 1.0, hold: 0.1", "disturbances[0]", "pulse-hold"),
+                ("hold: 0.002", "hold: 0.002, start: 0.0", "disturbances[1]", "held-start"),
+                (
+                    "kind: pulse, target: w, amplitude: 1.0, start: 0.0, duration: 0.005",
+                    "kind: zero, target: w, amplitude: 9.0", "disturbances[0]", "zero-amplitude",
+                ),
+                ("seed: 1}", "seed: 1, value: [5.0]}", "sim.x0_law", "gaussian-value"),
+                (
+                    "{kind: gaussian, mean: 0.0, std: 1.0, seed: 1}",
+                    "{kind: fixed, value: [0.0], std: 1.0}", "sim.x0_law", "fixed-std",
+                ),
+            ]
+        ],
+        pytest.param(
+            ONE_NODE[ONE_NODE.index("disturbances:"):ONE_NODE.index("tuning:")],
+            "disturbances: 5\n", [], "disturbances", id="disturbances-not-a-list",
+        ),
+        pytest.param(
+            ONE_NODE,
+            TWO_NODES.replace(
+                LINKS, LINKS[:-1] + ", overrides: [{edge: [1, 2], W: [[2.0]]}, {edge: [1, 2]}]}"
+            ),
+            [], "links.overrides[1].edge", id="override-duplicate",
+        ),
+        pytest.param(
+            ONE_NODE, TWO_NODES.replace("{M_inv: [[[0.01]], [[0.01]]]}", f"{{P: {ASYMMETRIC_P}}}"),
+            ["tune"], "tuning.P", id="P-asymmetric-tune",
+        ),
+        pytest.param(
+            "{M_inv: [[[0.01]]]}", "{P: [[-1.0]]}", ["tune"], "tuning.P", id="P-indefinite-tune"
+        ),
+        pytest.param(
+            ONE_NODE, TWO_NODES, ["--P", f"P: {ASYMMETRIC_P}\n"], "P.yaml: P",
+            id="P-file-asymmetric-verify",
+        ),
+        pytest.param(
+            None, None, ["--P", "P: [[-1.0]]\n"], "P.yaml: P", id="P-file-indefinite-verify"
+        ),
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, old, new, args, where):
@@ -647,6 +695,10 @@ def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, old, new, args
     elif args == ["tune"]:
         scen = write_small(tmp_path, text.replace("{M_inv: [[[0.01]]]}", TUNE_P0))
         argv = ["tune", str(scen), "--out", str(tmp_path / "tuned.yaml")]
+    elif args and args[0] == "--P":
+        assert main(["simulate", str(scen), "--out", str(out)]) == 0
+        (tmp_path / "P.yaml").write_text(args[1], encoding="utf-8")
+        argv = ["verify", str(out), "--P", str(tmp_path / "P.yaml")]
     else:
         argv = ["simulate", str(scen), "--out", str(out), *args]
     capsys.readouterr()
